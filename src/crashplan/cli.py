@@ -195,7 +195,10 @@ def _cmd_metrics(args, argv) -> int:
     if args.reference:
         reference, _ = front_from_csv(args.reference)
     if args.labels:
-        labels = tuple(args.labels.split(",", 1))
+        labels = tuple(args.labels.split(","))
+        if len(labels) != 2 or not all(label.strip() for label in labels):
+            raise ParseError("--labels needs two non-empty comma-separated "
+                             f"labels, got {args.labels!r}")
     else:
         labels = (meta_a.get("algorithm", "a"), meta_b.get("algorithm", "b"))
     report = compare_report(front_a, front_b, reference, labels=labels,
@@ -210,12 +213,26 @@ def _cmd_metrics(args, argv) -> int:
     return 0
 
 
+def _parse_grid(values: str, kind) -> list:
+    try:
+        return [kind(raw) for raw in values.split(",")]
+    except ValueError as exc:
+        raise ParseError(f"--values: {exc}") from None
+
+
 def _cmd_tune(args, argv) -> int:
     inst = load_instance(args.instance)
     levels = None
     if args.levels:
-        raw = json.loads(Path(args.levels).read_text(encoding="utf-8"))
-        levels = {str(k): list(v) for k, v in raw.items()}
+        try:
+            levels = json.loads(Path(args.levels).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{args.levels}: bad JSON ({exc})") from exc
+        if not isinstance(levels, dict) or not all(
+                isinstance(v, list) and all(type(x) in (int, float) for x in v)
+                for v in levels.values()):
+            raise ParseError(f"{args.levels}: expected an object mapping each "
+                             "factor to a list of numeric levels")
     report = tune(inst, levels, args.seed, threads=args.threads)
     json_path, _ = write_tuning_files(report, args.out_dir)
     _sidecar(str(json_path), argv, seed=args.seed,
@@ -228,8 +245,7 @@ def _cmd_sweep(args, argv) -> int:
     lines = []
     if args.param == "deadline":
         lines.append("deadline,best_npv,best_time,best_productivity,front_size")
-        for raw in args.values.split(","):
-            deadline = int(raw)
+        for deadline in _parse_grid(args.values, int):
             variant = replace(inst, deadline=deadline)
             report = true_pareto_front(variant, max_points=args.max_points)
             objs = report.front.objectives()
@@ -242,8 +258,7 @@ def _cmd_sweep(args, argv) -> int:
         chrom = (parse_solution(args.chromosome) if args.chromosome
                  else baseline_chromosome(inst))
         lines.append("discount_rate,npv_cost,makespan,productivity,valid_number")
-        for raw in args.values.split(","):
-            rate = float(raw)
+        for rate in _parse_grid(args.values, float):
             variant = replace(inst, interest_rate=rate)
             obj, rep = evaluate(variant, chrom)
             lines.append(f"{fmt_float(rate)},{fmt_float(obj.npv_cost)},"

@@ -1,23 +1,25 @@
-"""Multi-objective genetic algorithm: random topological encoding,
-tournament selection, string-swap crossover, two-point mutation,
-per-activity hill climbing, elitism, and duplicate/feasibility control.
+"""Genetic solvers: MOGA and the generation driver it shares with NSGA-II.
 
-NSGA-II (nsga2 module) reuses the operators and feasibility machinery
-defined here so the two solvers differ only in their algorithmic core.
+Both use one encoding (random topological order, mode and duration strings),
+string-swap crossover, two-point mutation, feasibility and duplicate control
+(`breed`) and one driver (`evolve`); each supplies only its next-population
+step.  MOGA keeps rank-picked elites, breeds by binary tournament, fills up
+with random chromosomes and hill-climbs a share of the offspring.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import BadParams, InitTimeout
 from .evaluate import Chromosome, ObjectiveVector, evaluate
 from .instance import ProjectInstance, instance_hash
-from .pareto import ParetoArchive, nondominated_sort, pareto_filter
+from .pareto import (ParetoArchive, group_by_rank, nondominated_sort,
+                     pareto_filter)
 from .reporting import FrontReport
 
 #: tuned defaults (optimum levels of the L25 screening)
@@ -30,25 +32,30 @@ DEFAULT_POP_SIZE = 100
 
 
 @dataclass(frozen=True)
-class MogaParams:
+class SolverParams:
+    """Parameters common to both solvers; subclasses add their own rates."""
+
     seed: int
     pop_size: int = DEFAULT_POP_SIZE
     iterations: int = DEFAULT_ITERATIONS
     crossover_rate: float = DEFAULT_CROSSOVER
     mutation_rate: float = DEFAULT_MUTATION
-    hill_climb_rate: float = DEFAULT_HILL_CLIMB
-    elitism_rate: float = DEFAULT_ELITISM
 
     def validate(self) -> None:
         if self.pop_size < 2:
             raise BadParams("pop_size must be >= 2")
         if self.iterations < 0:
             raise BadParams("iterations must be >= 0")
-        for name in ("crossover_rate", "mutation_rate", "hill_climb_rate",
-                     "elitism_rate"):
-            value = getattr(self, name)
-            if not (0 <= value <= 1):
-                raise BadParams(f"{name} must be in [0, 1], got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith("_rate") and not (0 <= value <= 1):
+                raise BadParams(f"{f.name} must be in [0, 1], got {value}")
+
+
+@dataclass(frozen=True)
+class MogaParams(SolverParams):
+    hill_climb_rate: float = DEFAULT_HILL_CLIMB
+    elitism_rate: float = DEFAULT_ELITISM
 
 
 def frac_count(rate: float, pop_size: int) -> int:
@@ -266,7 +273,7 @@ def draw_feasible(inst: ProjectInstance, rng: np.random.Generator, evaluator,
         f"failures: {histogram}", histogram)
 
 
-def init_population(inst: ProjectInstance, params: "MogaParams",
+def init_population(inst: ProjectInstance, params: SolverParams,
                     *, attempts_factor: int = 10_000,
                     rng: np.random.Generator | None = None,
                     evaluator=None) -> list[Chromosome]:
@@ -322,15 +329,74 @@ def control_offspring(inst: ProjectInstance, child: Chromosome,
     return child, obj
 
 
-# ---------------------------------------------------------------------------
-# Main loop
+def breed(inst: ProjectInstance, count: int, pick_pair, mutation_rate: float,
+          rng: np.random.Generator, evaluator, members: set[Chromosome],
+          attempts: int) -> list[tuple[Chromosome, ObjectiveVector]]:
+    """`count` offspring of pick_pair(rng), each mutated with probability
+    mutation_rate and passed through control_offspring; no offspring is in
+    `members` when drawn, and each joins it."""
+    offspring: list[tuple[Chromosome, ObjectiveVector]] = []
+    while len(offspring) < count:
+        for child in pick_pair(rng):
+            if len(offspring) >= count:
+                break
+            if rng.random() < mutation_rate:
+                child = mutate(inst, child, rng)
+            child, obj = control_offspring(inst, child, rng, evaluator,
+                                           members, attempts)
+            offspring.append((child, obj))
+            members.add(child)
+    return offspring
 
-def _pick_by_rank(indices_by_rank: dict[int, list[int]], count: int,
-                  rng: np.random.Generator, worst_first: bool = False) -> list[int]:
-    """Select `count` indices by rank (ties broken randomly)."""
+
+# ---------------------------------------------------------------------------
+# Generation driver
+
+def evolve(inst: ProjectInstance, params: SolverParams, algorithm: str,
+           next_population, *, use_archive: bool,
+           max_evaluations: int | None, attempts_factor: int,
+           literal_eq15: bool, on_generation) -> FrontReport:
+    """Run the generation loop shared by both solvers and report the front.
+
+    Generation 0 is init_population on make_rng(seed, 0); generation g
+    draws from make_rng(seed, g), ranks the (chromosome, objectives) pairs
+    and replaces them with next_population(pop, ranks, rng, evaluator,
+    attempts), then calls on_generation(gen, chromosomes, archive_front).
+    max_evaluations is checked after each generation, so a run overshoots
+    it by up to one generation (initialisation alone may exceed it).
+    """
+    t0 = time.perf_counter()
+    archive = ParetoArchive()
+    evaluator = Evaluator(inst, archive, literal_eq15)
+    attempts = attempts_factor * params.pop_size
+
+    chroms = init_population(inst, params, attempts_factor=attempts_factor,
+                             rng=make_rng(params.seed, 0), evaluator=evaluator)
+    pop = [(c, evaluator(c)[0]) for c in chroms]
+
+    for gen in range(1, params.iterations + 1):
+        rng = make_rng(params.seed, gen)
+        ranks = nondominated_sort([o for _, o in pop])
+        pop = next_population(pop, ranks, rng, evaluator, attempts)
+        if on_generation is not None:
+            on_generation(gen, [c for c, _ in pop], archive.front())
+        if max_evaluations is not None and evaluator.count >= max_evaluations:
+            break
+
+    front = archive.front() if use_archive else pareto_filter(
+        [(o, c) for c, o in pop])
+    return FrontReport(
+        front=front, algorithm=algorithm, seed=params.seed,
+        instance_hash=instance_hash(inst), params=asdict(params),
+        evaluations=evaluator.count,
+        wall_ms=(time.perf_counter() - t0) * 1000.0)
+
+
+def _pick_by_rank(ranks: list[int], count: int,
+                  rng: np.random.Generator) -> list[int]:
+    """Select `count` indices best rank first (ties broken randomly)."""
     chosen: list[int] = []
-    for rank in sorted(indices_by_rank, reverse=worst_first):
-        group = indices_by_rank[rank]
+    for group in group_by_rank(ranks):
         need = count - len(chosen)
         if need <= 0:
             break
@@ -348,55 +414,27 @@ def run_moga(inst: ProjectInstance, params: MogaParams,
              attempts_factor: int = 10_000,
              literal_eq15: bool = False,
              on_generation=None) -> FrontReport:
-    """Run the genetic algorithm and return the resulting front.
-
-    By default the front is the external archive (the nondominated set of
-    every feasible evaluation); use_archive=False reports the final
-    population's nondominated set only.  on_generation(gen, chromosomes,
-    archive_front) is an observation hook used by tests.
-    """
-    params.validate()
-    t0 = time.perf_counter()
-    archive = ParetoArchive()
-    evaluator = Evaluator(inst, archive, literal_eq15)
-    attempts = attempts_factor * params.pop_size
-
-    rng0 = make_rng(params.seed, 0)
-    chroms = init_population(inst, params, attempts_factor=attempts_factor,
-                             rng=rng0, evaluator=evaluator)
-    objs = [evaluator(c)[0] for c in chroms]
-    pop = list(zip(chroms, objs))
-
-    n_elite = min(frac_count(params.elitism_rate, params.pop_size),
-                  params.pop_size)
-    n_cross = min(frac_count(params.crossover_rate, params.pop_size),
-                  params.pop_size - n_elite)
-    n_fill = params.pop_size - n_elite - n_cross
+    """Run the genetic algorithm; the front is the external archive of every
+    feasible evaluation, or with use_archive=False the final population's."""
     locally_optimal: set[Chromosome] = set()
 
-    for gen in range(1, params.iterations + 1):
-        rng = make_rng(params.seed, gen)
-        ranks = nondominated_sort([o for _, o in pop])
-        by_rank: dict[int, list[int]] = {}
-        for idx, r in enumerate(ranks):
-            by_rank.setdefault(r, []).append(idx)
+    def next_population(pop, ranks, rng, evaluator, attempts):
+        n_elite = min(frac_count(params.elitism_rate, params.pop_size),
+                      params.pop_size)
+        n_cross = min(frac_count(params.crossover_rate, params.pop_size),
+                      params.pop_size - n_elite)
+        n_fill = params.pop_size - n_elite - n_cross
 
-        elites = [pop[i] for i in _pick_by_rank(by_rank, n_elite, rng)]
+        elites = [pop[i] for i in _pick_by_rank(ranks, n_elite, rng)]
         members = {c for c, _ in elites}
 
-        offspring: list[tuple[Chromosome, ObjectiveVector]] = []
-        while len(offspring) < n_cross:
+        def pick_pair(rng):
             i1 = tournament_select(ranks, rng)
             i2 = tournament_select(ranks, rng)
-            for child in crossover(pop[i1][0], pop[i2][0]):
-                if len(offspring) >= n_cross:
-                    break
-                if rng.random() < params.mutation_rate:
-                    child = mutate(inst, child, rng)
-                child, obj = control_offspring(inst, child, rng, evaluator,
-                                               members, attempts)
-                offspring.append((child, obj))
-                members.add(child)
+            return crossover(pop[i1][0], pop[i2][0])
+
+        offspring = breed(inst, n_cross, pick_pair, params.mutation_rate, rng,
+                          evaluator, members, attempts)
         for _ in range(n_fill):
             child, obj = draw_feasible(inst, rng, evaluator, members, attempts)
             offspring.append((child, obj))
@@ -419,17 +457,9 @@ def run_moga(inst: ProjectInstance, params: MogaParams,
                 else:
                     obj, _ = evaluator(climbed)
                     offspring[k] = (climbed, obj)
+        return elites + offspring
 
-        pop = elites + offspring
-        if on_generation is not None:
-            on_generation(gen, [c for c, _ in pop], archive.front())
-        if max_evaluations is not None and evaluator.count >= max_evaluations:
-            break
-
-    front = archive.front() if use_archive else pareto_filter(
-        [(o, c) for c, o in pop])
-    return FrontReport(
-        front=front, algorithm="moga", seed=params.seed,
-        instance_hash=instance_hash(inst), params=asdict(params),
-        evaluations=evaluator.count,
-        wall_ms=(time.perf_counter() - t0) * 1000.0)
+    return evolve(inst, params, "moga", next_population,
+                  use_archive=use_archive, max_evaluations=max_evaluations,
+                  attempts_factor=attempts_factor, literal_eq15=literal_eq15,
+                  on_generation=on_generation)

@@ -1,41 +1,23 @@
-"""NSGA-II baseline sharing the MOGA encoding, variation operators, and
-feasibility control; survival is the standard (mu+lambda) scheme on
-(nondomination rank, crowding distance)."""
+"""NSGA-II baseline on the shared generation driver (see the moga module):
+crowded binary tournaments, a crossover coin, and the standard
+(mu+lambda) survival on (nondomination rank, crowding distance)."""
 
 from __future__ import annotations
 
-import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParams
 from .evaluate import Chromosome, ObjectiveVector
-from .instance import ProjectInstance, instance_hash
-from .moga import (DEFAULT_CROSSOVER, DEFAULT_ITERATIONS, DEFAULT_MUTATION,
-                   DEFAULT_POP_SIZE, Evaluator, MogaParams, control_offspring,
-                   crossover, init_population, make_rng, mutate)
-from .pareto import ParetoArchive, nondominated_sort, pareto_filter
+from .instance import ProjectInstance
+from .moga import SolverParams, breed, crossover, evolve
+from .pareto import group_by_rank, nondominated_sort
 from .reporting import FrontReport
 
 
 @dataclass(frozen=True)
-class Nsga2Params:
-    seed: int
-    pop_size: int = DEFAULT_POP_SIZE
-    iterations: int = DEFAULT_ITERATIONS
-    crossover_rate: float = DEFAULT_CROSSOVER
-    mutation_rate: float = DEFAULT_MUTATION
-
-    def validate(self) -> None:
-        if self.pop_size < 2:
-            raise BadParams("pop_size must be >= 2")
-        if self.iterations < 0:
-            raise BadParams("iterations must be >= 0")
-        for name in ("crossover_rate", "mutation_rate"):
-            value = getattr(self, name)
-            if not (0 <= value <= 1):
-                raise BadParams(f"{name} must be in [0, 1], got {value}")
+class Nsga2Params(SolverParams):
+    """NSGA-II uses only the parameters common to both solvers."""
 
 
 def crowding_distance(front: list[ObjectiveVector]) -> list[float]:
@@ -75,13 +57,8 @@ def _survival(pool: list[tuple[Chromosome, ObjectiveVector]],
               pop_size: int) -> list[tuple[Chromosome, ObjectiveVector]]:
     """Fill the next population front by front; the boundary front is
     truncated by descending crowding distance (stable on ties)."""
-    ranks = nondominated_sort([o for _, o in pool])
-    by_rank: dict[int, list[int]] = {}
-    for idx, r in enumerate(ranks):
-        by_rank.setdefault(r, []).append(idx)
     survivors: list[int] = []
-    for r in sorted(by_rank):
-        group = by_rank[r]
+    for group in group_by_rank(nondominated_sort([o for _, o in pool])):
         if len(survivors) + len(group) <= pop_size:
             survivors.extend(group)
         else:
@@ -100,64 +77,29 @@ def run_nsga2(inst: ProjectInstance, params: Nsga2Params,
               on_generation=None) -> FrontReport:
     """Run NSGA-II; by default reports the final population's rank-0 set
     (pass use_archive=True for the external-archive variant)."""
-    params.validate()
-    t0 = time.perf_counter()
-    archive = ParetoArchive()
-    evaluator = Evaluator(inst, archive, literal_eq15)
-    attempts = attempts_factor * params.pop_size
 
-    seed_params = MogaParams(seed=params.seed, pop_size=params.pop_size,
-                             iterations=params.iterations,
-                             crossover_rate=params.crossover_rate,
-                             mutation_rate=params.mutation_rate)
-    rng0 = make_rng(params.seed, 0)
-    chroms = init_population(inst, seed_params, attempts_factor=attempts_factor,
-                             rng=rng0, evaluator=evaluator)
-    pop = [(c, evaluator(c)[0]) for c in chroms]
-
-    for gen in range(1, params.iterations + 1):
-        rng = make_rng(params.seed, gen)
-        ranks = nondominated_sort([o for _, o in pop])
-        by_rank: dict[int, list[int]] = {}
-        for idx, r in enumerate(ranks):
-            by_rank.setdefault(r, []).append(idx)
+    def next_population(pop, ranks, rng, evaluator, attempts):
         crowding = [0.0] * len(pop)
-        for group in by_rank.values():
+        for group in group_by_rank(ranks):
             dist = crowding_distance([pop[i][1] for i in group])
             for i, d in zip(group, dist):
                 crowding[i] = d
 
-        # duplicate control applies within the batch being assembled, as in
-        # the MOGA generation loop; (mu+lambda) survival handles parent clones
-        members: set[Chromosome] = set()
-        offspring: list[tuple[Chromosome, ObjectiveVector]] = []
-        while len(offspring) < params.pop_size:
+        def pick_pair(rng):
             i1 = _crowded_tournament(ranks, crowding, rng)
             i2 = _crowded_tournament(ranks, crowding, rng)
+            parents = (pop[i1][0], pop[i2][0])
             if rng.random() < params.crossover_rate:
-                children = crossover(pop[i1][0], pop[i2][0])
-            else:
-                children = (pop[i1][0], pop[i2][0])
-            for child in children:
-                if len(offspring) >= params.pop_size:
-                    break
-                if rng.random() < params.mutation_rate:
-                    child = mutate(inst, child, rng)
-                child, obj = control_offspring(inst, child, rng, evaluator,
-                                               members, attempts)
-                offspring.append((child, obj))
-                members.add(child)
+                return crossover(*parents)
+            return parents
 
-        pop = _survival(pop + offspring, params.pop_size)
-        if on_generation is not None:
-            on_generation(gen, [c for c, _ in pop], archive.front())
-        if max_evaluations is not None and evaluator.count >= max_evaluations:
-            break
+        # duplicate control applies within the batch being assembled, as in
+        # MOGA; (mu+lambda) survival handles parent clones
+        offspring = breed(inst, params.pop_size, pick_pair,
+                          params.mutation_rate, rng, evaluator, set(), attempts)
+        return _survival(pop + offspring, params.pop_size)
 
-    front = archive.front() if use_archive else pareto_filter(
-        [(o, c) for c, o in pop])
-    return FrontReport(
-        front=front, algorithm="nsga2", seed=params.seed,
-        instance_hash=instance_hash(inst), params=asdict(params),
-        evaluations=evaluator.count,
-        wall_ms=(time.perf_counter() - t0) * 1000.0)
+    return evolve(inst, params, "nsga2", next_population,
+                  use_archive=use_archive, max_evaluations=max_evaluations,
+                  attempts_factor=attempts_factor, literal_eq15=literal_eq15,
+                  on_generation=on_generation)

@@ -61,6 +61,14 @@ def nondominated_sort(objectives: list[ObjectiveVector]) -> list[int]:
     return ranks
 
 
+def group_by_rank(ranks: list[int]) -> list[list[int]]:
+    """groups[r] lists, in index order, the members of rank r."""
+    groups: list[list[int]] = [[] for _ in range(max(ranks, default=-1) + 1)]
+    for idx, r in enumerate(ranks):
+        groups[r].append(idx)
+    return groups
+
+
 def _same_point(a: ObjectiveVector, b: ObjectiveVector, tol: float = DUPLICATE_TOL) -> bool:
     return (abs(a.npv_cost - b.npv_cost) <= tol
             and a.makespan == b.makespan

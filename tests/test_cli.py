@@ -222,3 +222,50 @@ class TestUsageErrors:
         result = run_cli("oracle", "--instance", str(bad),
                          "--out", str(tmp_path / "x.csv"))
         assert result.returncode == 2
+
+
+LEVELS_WITH_TEXT = (
+    '{"elitism_rate": [0.0, 0.05, 0.1, 0.15, 0.2],'
+    ' "hill_climb_rate": [0.0, 0.1, 0.2, 0.3, 0.4],'
+    ' "mutation_rate": [0.2, 0.3, 0.4, 0.5, 0.6],'
+    ' "crossover_rate": [0.4, 0.5, 0.6, 0.7, 0.8],'
+    ' "iterations": [1, 2, 2, 3, 3], "pop_size": [4, 5, 6, 7, "many"]}')
+
+
+class TestBadArgumentValues:
+    """Malformed option values exit 2 with one error line, no traceback."""
+
+    @staticmethod
+    def assert_usage_error(result):
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error:")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("labels", ["onlyone", "a,", ",b", "a,b,c"])
+    def test_metrics_labels(self, tmp_path, labels):
+        front = tmp_path / "empty.csv"
+        front.write_text("solution,npv_cost,makespan,productivity,valid_number\n")
+        self.assert_usage_error(run_cli(
+            "metrics", "--front-a", str(front), "--front-b", str(front),
+            "--labels", labels, "--out", str(tmp_path / "r.json")))
+
+    @pytest.mark.parametrize("param,values,bad", [
+        ("deadline", "10,x", "'x'"),
+        ("deadline", "4.5", "'4.5'"),
+        ("discount", "abc", "'abc'"),
+    ])
+    def test_sweep_values(self, toy4_path, tmp_path, param, values, bad):
+        result = run_cli("sweep", "--param", param, "--values", values,
+                         "--instance", str(toy4_path),
+                         "--out", str(tmp_path / "s.csv"))
+        self.assert_usage_error(result)
+        assert bad in result.stderr
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", LEVELS_WITH_TEXT])
+    def test_tune_levels(self, toy4_path, tmp_path, text):
+        levels = tmp_path / "levels.json"
+        levels.write_text(text)
+        self.assert_usage_error(run_cli(
+            "tune", "--instance", str(toy4_path), "--seed", "1",
+            "--levels", str(levels), "--threads", "1",
+            "--out-dir", str(tmp_path / "tune")))

@@ -1,0 +1,85 @@
+"""Cross-commit reproducibility pins.
+
+Each case fixes a solver run by its inputs and pins two outputs that must
+not change unless a change means to alter an RNG stream or the evaluation
+count: `FrontReport.evaluations` and the sha256 of the front CSV bytes.
+A change that moves these values records why in CHANGES.md and updates
+the pins in the same commit.
+"""
+
+import hashlib
+from dataclasses import asdict
+
+import pytest
+
+from crashplan.instance import generate_instance
+from crashplan.moga import MogaParams, run_moga
+from crashplan.nsga2 import Nsga2Params, run_nsga2
+from crashplan.reporting import front_to_csv
+
+LONG = 10**6  # iterations for runs that stop on max_evaluations
+
+# (solver, instance, params, run keywords, evaluations, front CSV sha256)
+CASES = [
+    ("moga", "toy4", dict(seed=3, pop_size=10, iterations=20), {}, 1129,
+     "9926c0212f1d83ddeb37da926473bf53fbf3d9e1762bf0a6469185e47e6f97d8"),
+    ("moga", "toy4", dict(seed=3, pop_size=10, iterations=20),
+     {"use_archive": False}, 1129,
+     "d411627b8d2cdeb09cbce3d5ec875babe264758f567e35e34f7e13c47ab8cd28"),
+    ("nsga2", "toy4", dict(seed=3, pop_size=10, iterations=20), {}, 283,
+     "b655d6e03e516c9fa4256b05e566613a0d67e2e0ca28b3b5687d0d30d58efa08"),
+    ("nsga2", "toy4", dict(seed=3, pop_size=10, iterations=20),
+     {"use_archive": True}, 283,
+     "bc941b16970525faebce72818df3421e2f82a20fe59bb7fca1bc03a049d7f388"),
+    ("moga", "gen", dict(seed=1, pop_size=12, iterations=15), {}, 2357,
+     "10604880b9d5419d497003b2f10dd0576b8e5c2493c73329a6ceedc253b1903b"),
+    ("moga", "gen", dict(seed=2, pop_size=12, iterations=LONG),
+     {"max_evaluations": 4000}, 4104,
+     "fecec9aff9eb8f5bc2da474fb825d4ef73d20d6b87ca203bc874487a90eb3984"),
+    ("nsga2", "gen", dict(seed=1, pop_size=12, iterations=15), {}, 414,
+     "87a119d54a428db3b5a8c9340ae6d56d1af7b618df3e11cc197deee1c71b8a2b"),
+    ("nsga2", "gen", dict(seed=2, pop_size=12, iterations=LONG),
+     {"max_evaluations": 4000}, 4004,
+     "63a5151db4f485d6b391adc12e16062a229f60464ae7a1948323eba3c91545ab"),
+    ("moga", "gen", dict(seed=4, pop_size=10, iterations=12, crossover_rate=0.5,
+                         mutation_rate=0.3, hill_climb_rate=0.3,
+                         elitism_rate=0.2), {}, 601,
+     "07a84e4e23997692f487be5f5f3ff103ab5ceff6338ea34df6f3a02b5bd28744"),
+    ("nsga2", "gen", dict(seed=4, pop_size=10, iterations=12, crossover_rate=0.3,
+                          mutation_rate=0.9), {}, 275,
+     "2440c01933e452c153540d870044a290c76708613ba86a59f3bfc938fb2c6a65"),
+    ("nsga2", "tight", dict(seed=50, pop_size=12, iterations=LONG),
+     {"max_evaluations": 3000}, 3010,
+     "336481029467122f08b534be6d831f5b6a8796d7efed7fc2a5eb7cf1a0fff4ce"),
+    ("moga", "tight", dict(seed=50, pop_size=12, iterations=6), {}, 864,
+     "a11ae8c89287346bb416a9f766e0d1a1175f6787900d397932c537494238fd51"),
+]
+
+
+@pytest.fixture(scope="module")
+def instances(toy4):
+    return {"toy4": toy4,
+            "gen": generate_instance(2, 8, 3, 0.4, budget_slack=0.5),
+            "tight": generate_instance(3000, 12, 2, 0.3, budget_slack=0.0)}
+
+
+@pytest.mark.parametrize("algo,name,params,kwargs,evaluations,digest", CASES)
+def test_run_is_pinned(instances, tmp_path, algo, name, params, kwargs,
+                       evaluations, digest):
+    if algo == "moga":
+        report = run_moga(instances[name], MogaParams(**params), **kwargs)
+    else:
+        report = run_nsga2(instances[name], Nsga2Params(**params), **kwargs)
+    out = tmp_path / "front.csv"
+    front_to_csv(report, out)
+    assert report.evaluations == evaluations
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_params_key_order():
+    # tuning.json serialises asdict(params) without sorting its keys
+    assert list(asdict(MogaParams(seed=0))) == [
+        "seed", "pop_size", "iterations", "crossover_rate", "mutation_rate",
+        "hill_climb_rate", "elitism_rate"]
+    assert list(asdict(Nsga2Params(seed=0))) == [
+        "seed", "pop_size", "iterations", "crossover_rate", "mutation_rate"]

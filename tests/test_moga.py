@@ -10,6 +10,7 @@ from crashplan.moga import (MogaParams, crossover, frac_count, hill_climb,
                             init_population, make_rng, mutate,
                             random_chromosome, replace_gene, run_moga,
                             tournament_select)
+from crashplan.nsga2 import Nsga2Params
 from crashplan.oracle import true_pareto_front
 
 from conftest import dummy, make_instance, real
@@ -66,6 +67,10 @@ class TestInitPopulation:
         p1 = init_population(toy4, MogaParams(seed=6, pop_size=8, iterations=1))
         p2 = init_population(toy4, MogaParams(seed=6, pop_size=8, iterations=1))
         assert p1 == p2
+
+    def test_nsga2_params_draw_the_same_population(self, toy4):
+        assert init_population(toy4, Nsga2Params(seed=6, pop_size=8)) \
+            == init_population(toy4, MogaParams(seed=6, pop_size=8))
 
     def test_timeout_on_infeasible_instance(self, toy4):
         hopeless = replace(toy4, deadline=2)  # crash makespan is 3
@@ -282,3 +287,15 @@ class TestRunMoga:
             run_moga(toy4, MogaParams(seed=1, pop_size=1))
         with pytest.raises(BadParams):
             run_moga(toy4, MogaParams(seed=1, crossover_rate=1.5))
+
+
+@pytest.mark.parametrize("cls,field", [
+    (MogaParams, "crossover_rate"), (MogaParams, "mutation_rate"),
+    (MogaParams, "hill_climb_rate"), (MogaParams, "elitism_rate"),
+    (Nsga2Params, "crossover_rate"), (Nsga2Params, "mutation_rate"),
+])
+@pytest.mark.parametrize("value", [-0.1, 1.5])
+def test_every_rate_is_validated(cls, field, value):
+    cls(seed=1, **{field: 1.0}).validate()
+    with pytest.raises(BadParams, match=field):
+        cls(seed=1, **{field: value}).validate()

@@ -5,7 +5,7 @@ from crashplan.evaluate import Chromosome, ObjectiveVector, evaluate
 from crashplan.moga import MogaParams, run_moga
 from crashplan.nsga2 import Nsga2Params, _survival, crowding_distance, run_nsga2
 from crashplan.oracle import true_pareto_front
-from crashplan.pareto import dominates, nondominated_sort
+from crashplan.pareto import dominates, group_by_rank, nondominated_sort
 
 
 def vec(npv, time, prod):
@@ -50,11 +50,8 @@ class TestSurvival:
         assert len(survivors) == 10
 
         ranks = nondominated_sort([o for _, o in pool])
-        by_rank = {}
-        for idx, r in enumerate(ranks):
-            by_rank.setdefault(r, []).append(idx)
         crowd = [0.0] * len(pool)
-        for group in by_rank.values():
+        for group in group_by_rank(ranks):
             dist = crowding_distance([pool[i][1] for i in group])
             for i, d in zip(group, dist):
                 crowd[i] = d

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from crashplan.evaluate import Chromosome, ObjectiveVector
-from crashplan.pareto import (ParetoArchive, dominates, nondominated_sort,
-                              pareto_filter)
+from crashplan.pareto import (ParetoArchive, dominates, group_by_rank,
+                              nondominated_sort, pareto_filter)
 
 
 def vec(npv, time, prod):
@@ -88,6 +88,14 @@ class TestNondominatedSort:
         rng = np.random.default_rng(seed)
         objs = random_vectors(rng, int(rng.integers(5, 25)))
         assert nondominated_sort(objs) == brute_ranks(objs)
+
+
+class TestGroupByRank:
+    def test_groups_in_rank_then_index_order(self):
+        assert group_by_rank([1, 0, 2, 0, 1]) == [[1, 3], [0, 4], [2]]
+
+    def test_empty(self):
+        assert group_by_rank([]) == []
 
 
 class TestParetoFilter:
