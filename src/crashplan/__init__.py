@@ -7,7 +7,8 @@ influence-based quality weighting, behind a reproducible CLI.
 
 from .errors import (AllZero, BadParams, CrashplanError, EncodingError,
                      InfeasibleInstance, InitTimeout, NoFeasible,
-                     NoRealActivities, ParseError, Singular, SpaceTooLarge)
+                     NoRealActivities, ParseError, Singular, SpaceTooLarge,
+                     ZeroCost)
 from .evaluate import (Chromosome, DecodedSchedule, FeasibilityReport,
                        ObjectiveVector, PaymentEvent, PaymentPlan,
                        baseline_chromosome, check_feasibility,

@@ -22,7 +22,7 @@ from .errors import CrashplanError, ParseError
 from .evaluate import (baseline_chromosome, compute_payments, decode_schedule,
                        evaluate, parse_solution)
 from .instance import (generate_instance, instance_hash, load_instance,
-                       save_instance)
+                       save_instance, validate_instance)
 from .metrics import CSV_HEADER, compare_report
 from .moga import MogaParams, run_moga
 from .nsga2 import Nsga2Params, run_nsga2
@@ -240,13 +240,22 @@ def _cmd_tune(args, argv) -> int:
     return 0
 
 
+def _sweep_variant(inst, field: str, value):
+    """inst with one field replaced, held to the same rules as a loaded file."""
+    variant = replace(inst, **{field: value})
+    violations = validate_instance(variant)
+    if violations:
+        raise ParseError(f"--values {value}: {violations[0]}")
+    return variant
+
+
 def _cmd_sweep(args, argv) -> int:
     inst = load_instance(args.instance)
     lines = []
     if args.param == "deadline":
         lines.append("deadline,best_npv,best_time,best_productivity,front_size")
         for deadline in _parse_grid(args.values, int):
-            variant = replace(inst, deadline=deadline)
+            variant = _sweep_variant(inst, "deadline", deadline)
             report = true_pareto_front(variant, max_points=args.max_points)
             objs = report.front.objectives()
             lines.append(
@@ -259,7 +268,7 @@ def _cmd_sweep(args, argv) -> int:
                  else baseline_chromosome(inst))
         lines.append("discount_rate,npv_cost,makespan,productivity,valid_number")
         for rate in _parse_grid(args.values, float):
-            variant = replace(inst, interest_rate=rate)
+            variant = _sweep_variant(inst, "interest_rate", rate)
             obj, rep = evaluate(variant, chrom)
             lines.append(f"{fmt_float(rate)},{fmt_float(obj.npv_cost)},"
                          f"{obj.makespan},{fmt_float(obj.productivity)},"

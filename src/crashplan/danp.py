@@ -18,15 +18,6 @@ CONVERGENCE_TOL = 1e-9
 MAX_SQUARINGS = 64
 
 
-@dataclass(frozen=True)
-class InfluenceMatrix:
-    criteria: tuple[str, ...]
-    values: tuple[tuple[float, ...], ...]
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=float)
-
-
 def _check_influence(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise BadParams("influence matrix must be square")

@@ -25,6 +25,10 @@ class NoRealActivities(CrashplanError):
     """Quality statistics requested for an instance with only dummy activities."""
 
 
+class ZeroCost(CrashplanError, ZeroDivisionError):
+    """The NPV cost is zero, so productivity (quality per cost) is undefined."""
+
+
 class InitTimeout(CrashplanError):
     """Feasible-population sampling exhausted its attempt budget.
 

@@ -2,15 +2,17 @@
 
 A chromosome is three integer strings: a topological activity order, a
 1-based mode index per activity, and a realized duration per activity.
-Decoding is earliest-start; resources are aggregate, so start times do
-not depend on the order string (it is kept for operator compatibility).
+Decoding is earliest-start and is also the only validation: the one walk
+over the order string checks each gene as it schedules it.  Resources are
+aggregate, so start times do not depend on the order string (it is kept
+for operator compatibility).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import EncodingError, NoRealActivities
+from .errors import EncodingError, NoRealActivities, ZeroCost
 from .instance import ProjectInstance
 
 __all__ = [
@@ -78,71 +80,51 @@ def baseline_chromosome(inst: ProjectInstance) -> Chromosome:
                       durations=durations)
 
 
-def check_encoding(inst: ProjectInstance, chrom: Chromosome) -> None:
-    """Raise EncodingError unless the chromosome is structurally valid."""
+def decode_schedule(inst: ProjectInstance, chrom: Chromosome) -> DecodedSchedule:
+    """Earliest-start decoding that validates the chromosome as it walks.
+
+    Activities are scheduled in order-string sequence with E_i the largest
+    finish of the predecessors.  Each gene is checked where it is reached:
+    an out-of-range or repeated id breaks the permutation, an unscheduled
+    predecessor breaks precedence, and a mode out of range, a duration
+    outside the mode's window or a nonzero dummy duration is a gene error.
+    Any of these raises EncodingError.
+    """
     n = inst.n
-    if (len(chrom.order) != n or len(chrom.modes) != n
-            or len(chrom.durations) != n):
+    order, modes, dur = chrom
+    if len(order) != n or len(modes) != n or len(dur) != n:
         raise EncodingError(f"string lengths must all be {n}")
-    pos = [-1] * n
-    for p, i in enumerate(chrom.order):
-        if not (1 <= i <= n) or pos[i - 1] >= 0:
-            raise EncodingError("order is not a permutation of 1..n")
-        pos[i - 1] = p
-    succ = inst.successor_table
-    for k in range(n):
-        pk = pos[k]
-        for h in succ[k]:
-            if pk >= pos[h - 1]:
-                raise EncodingError(f"order violates precedence {k + 1} -> {h}")
-    _check_genes(inst, chrom)
-
-
-def _check_genes(inst: ProjectInstance, chrom: Chromosome) -> None:
+    preds = inst.predecessors
     bounds = inst.duration_bounds
     dummy = inst.dummy_flags
-    for k in range(inst.n):
-        m = chrom.modes[k]
+    start = [0] * n
+    finish: list[int | None] = [None] * n  # None until scheduled
+    for i in order:
+        k = i - 1
+        if not (1 <= i <= n) or finish[k] is not None:
+            raise EncodingError("order is not a permutation of 1..n")
+        m = modes[k]
         row = bounds[k]
         if not (1 <= m <= len(row)):
-            raise EncodingError(f"activity {k + 1}: mode {m} out of range")
-        d = chrom.durations[k]
+            raise EncodingError(f"activity {i}: mode {m} out of range")
+        d = dur[k]
         if dummy[k]:
             if d != 0:
-                raise EncodingError(f"dummy activity {k + 1} must have duration 0")
-            continue
-        lo, hi = row[m - 1]
-        if not (lo <= d <= hi):
-            raise EncodingError(
-                f"activity {k + 1}: duration {d} outside [{lo}, {hi}]")
-
-
-def decode_schedule(inst: ProjectInstance, chrom: Chromosome,
-                    *, _trusted_order: bool = False) -> DecodedSchedule:
-    """Earliest-start decoding: E_i = max over predecessors of their finish.
-
-    _trusted_order skips the permutation/precedence re-validation for
-    callers that evaluate many chromosomes sharing an already-checked
-    order string; gene bounds are always verified.
-    """
-    if _trusted_order:
-        _check_genes(inst, chrom)
-    else:
-        check_encoding(inst, chrom)
-    n = inst.n
-    preds = inst.predecessors
-    dur = chrom.durations
-    start = [0] * n
-    finish = [0] * n
-    for i in chrom.order:
-        k = i - 1
+                raise EncodingError(f"dummy activity {i} must have duration 0")
+        else:
+            lo, hi = row[m - 1]
+            if not (lo <= d <= hi):
+                raise EncodingError(
+                    f"activity {i}: duration {d} outside [{lo}, {hi}]")
         s = 0
         for p in preds[k]:
             f = finish[p - 1]
+            if f is None:
+                raise EncodingError(f"order violates precedence {p} -> {i}")
             if f > s:
                 s = f
         start[k] = s
-        finish[k] = s + dur[k]
+        finish[k] = s + d
     return DecodedSchedule(tuple(start), tuple(finish), finish[n - 1])
 
 
@@ -232,7 +214,7 @@ def productivity(inst: ProjectInstance, chrom: Chromosome,
     """Blended quality divided by the NPV of total costs."""
     cost = npv_cost(inst, chrom, sched)
     if cost == 0:
-        raise ZeroDivisionError("npv_cost is zero; productivity undefined")
+        raise ZeroCost("npv_cost is zero; productivity undefined")
     q_min, q_avg = quality_stats(inst, chrom)
     alpha = inst.quality_blend
     return (alpha * q_min + (1 - alpha) * q_avg) / cost
@@ -300,12 +282,13 @@ def check_feasibility(inst: ProjectInstance, chrom: Chromosome,
 
 
 def evaluate(inst: ProjectInstance, chrom: Chromosome,
-             *, literal_eq15: bool = False,
-             _trusted_order: bool = False) -> tuple[ObjectiveVector, FeasibilityReport]:
+             *, literal_eq15: bool = False) -> tuple[ObjectiveVector, FeasibilityReport]:
     """Full evaluation; equal to composing the individual operations."""
-    sched = decode_schedule(inst, chrom, _trusted_order=_trusted_order)
+    sched = decode_schedule(inst, chrom)
     plan = compute_payments(inst, sched)
     cost = npv_cost(inst, chrom, sched)
+    if cost == 0:
+        raise ZeroCost("npv_cost is zero; productivity undefined")
     q_min, q_avg = quality_stats(inst, chrom)
     alpha = inst.quality_blend
     prod = (alpha * q_min + (1 - alpha) * q_avg) / cost

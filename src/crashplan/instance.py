@@ -35,9 +35,6 @@ class ActivityMode:
     quality: float
     demands: tuple[tuple[str, int], ...] = ()
 
-    def demand_map(self) -> dict[str, int]:
-        return dict(self.demands)
-
 
 @dataclass(frozen=True)
 class Activity:
@@ -80,10 +77,6 @@ class ProjectInstance:
             for h in act.successors:
                 preds[h - 1].append(act.id)
         return tuple(tuple(sorted(p)) for p in preds)
-
-    @cached_property
-    def real_ids(self) -> tuple[int, ...]:
-        return tuple(a.id for a in self.activities if not a.is_dummy)
 
     @cached_property
     def crash_min(self) -> tuple[int, ...]:
@@ -138,13 +131,6 @@ class ProjectInstance:
     @cached_property
     def dummy_flags(self) -> tuple[bool, ...]:
         return tuple(a.is_dummy for a in self.activities)
-
-    def activity(self, activity_id: int) -> Activity:
-        return self.activities[activity_id - 1]
-
-    def mode(self, activity_id: int, mode_index: int) -> ActivityMode:
-        """Mode lookup by 1-based mode index."""
-        return self.activities[activity_id - 1].modes[mode_index - 1]
 
 
 @dataclass(frozen=True)
@@ -280,7 +266,7 @@ def validate_instance(inst: ProjectInstance) -> list[Violation]:
         v.append(Violation("price", "sum of earned values must not exceed U"))
     if inst.price <= 0:
         v.append(Violation("price", "U > 0"))
-    if inst.interest_rate < 0:
+    if not (inst.interest_rate >= 0):  # also rejects NaN
         v.append(Violation("interest_rate", "k_x >= 0"))
     if not (0 <= inst.prepay_ratio < 1):
         v.append(Violation("prepay_ratio", "gamma in [0, 1)"))

@@ -70,11 +70,7 @@ def make_rng(seed: int, *key: int) -> np.random.Generator:
 
 
 class Evaluator:
-    """Counts evaluations and archives every feasible one.
-
-    Order strings repeat heavily across a run, so each one is fully
-    validated the first time it appears and trusted afterwards.
-    """
+    """Counts evaluations and archives every feasible one."""
 
     def __init__(self, inst: ProjectInstance, archive: ParetoArchive | None = None,
                  literal_eq15: bool = False):
@@ -82,15 +78,10 @@ class Evaluator:
         self.archive = archive
         self.literal_eq15 = literal_eq15
         self.count = 0
-        self._checked_orders: set[tuple[int, ...]] = set()
 
     def __call__(self, chrom: Chromosome):
         self.count += 1
-        trusted = chrom.order in self._checked_orders
-        obj, rep = evaluate(self.inst, chrom, literal_eq15=self.literal_eq15,
-                            _trusted_order=trusted)
-        if not trusted:
-            self._checked_orders.add(chrom.order)
+        obj, rep = evaluate(self.inst, chrom, literal_eq15=self.literal_eq15)
         if self.archive is not None and rep.valid_number == 3:
             self.archive.add(obj, chrom)
         return obj, rep

@@ -209,6 +209,40 @@ class TestDanpCommand:
         assert result.returncode == 2
 
 
+class TestZeroCost:
+    """An instance whose every cost and overhead is zero has no productivity;
+    it is a domain error (exit 1), not a traceback."""
+
+    @pytest.fixture()
+    def zero_cost_path(self, toy4_path, tmp_path):
+        data = json.loads(toy4_path.read_text())
+        data["overhead"] = 0.0
+        for act in data["activities"]:
+            for mode in act["modes"]:
+                mode["normal_cost"] = 0.0
+                mode["cost_slope"] = 0.0
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(data))
+        return path
+
+    @pytest.mark.parametrize("args", [
+        ("solve", "--algo", "moga", "--seed", "1", "--pop", "4",
+         "--iterations", "2"),
+        ("solve", "--algo", "nsga2", "--seed", "1", "--pop", "4",
+         "--iterations", "2"),
+        ("oracle",),
+        ("eval", "--chromosome", "1|1|0:2|1|4:3|1|5:4|1|0"),
+    ])
+    def test_exit_one_without_traceback(self, zero_cost_path, tmp_path, args):
+        result = run_cli(*args, "--instance", str(zero_cost_path),
+                         "--out", str(tmp_path / "out"))
+        assert result.returncode == 1, result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "npv_cost is zero" in lines[0]
+        assert "Traceback" not in result.stderr
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert run_cli("frobnicate").returncode == 2
@@ -260,6 +294,16 @@ class TestBadArgumentValues:
                          "--out", str(tmp_path / "s.csv"))
         self.assert_usage_error(result)
         assert bad in result.stderr
+
+    @pytest.mark.parametrize("rate", ["-1", "-0.5", "nan"])
+    def test_sweep_discount_rejected_like_a_file(self, toy4_path, tmp_path,
+                                                 rate):
+        out = tmp_path / "s.csv"
+        result = run_cli("sweep", "--param", "discount", "--values", rate,
+                         "--instance", str(toy4_path), "--out", str(out))
+        self.assert_usage_error(result)
+        assert rate in result.stderr and "interest_rate" in result.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["{not json", "[1, 2]", LEVELS_WITH_TEXT])
     def test_tune_levels(self, toy4_path, tmp_path, text):

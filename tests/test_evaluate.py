@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crashplan.errors import EncodingError, NoRealActivities
+from crashplan.errors import EncodingError, NoRealActivities, ZeroCost
 from crashplan.evaluate import (Chromosome, check_feasibility,
                                 compute_payments, decode_schedule, evaluate,
                                 format_solution, npv_cost, parse_solution,
@@ -46,6 +46,24 @@ class TestDecode:
     def test_dummy_duration_must_be_zero(self, toy4):
         with pytest.raises(EncodingError, match="dummy"):
             decode_schedule(toy4, chrom((1, 2, 3, 4), (1, 1, 1, 1), (1, 4, 5, 0)))
+
+    @pytest.mark.parametrize("order,modes,durations,word", [
+        ((1, 2, 3), (1, 1, 1, 1), (0, 4, 5, 0), "lengths"),
+        ((1, 2, 2, 4), (1, 1, 1, 1), (0, 4, 5, 0), "permutation"),
+        ((1, 2, 3, 5), (1, 1, 1, 1), (0, 4, 5, 0), "permutation"),
+        ((1, 2, 4, 3), (1, 1, 1, 1), (0, 4, 5, 0), "precedence"),
+        ((1, 2, 3, 4), (1, 3, 1, 1), (0, 4, 5, 0), "mode"),
+        ((1, 2, 3, 4), (1, 1, 0, 1), (0, 4, 5, 0), "mode"),
+        ((1, 2, 3, 4), (1, 1, 1, 1), (0, 4, 5, 2), "dummy"),
+        ((1, 2, 3, 4), (1, 1, 1, 1), (0, 1, 5, 0), "duration"),
+    ])
+    def test_each_fault_class_rejected(self, toy4, order, modes, durations,
+                                       word):
+        c = chrom(order, modes, durations)
+        with pytest.raises(EncodingError, match=word):
+            decode_schedule(toy4, c)
+        with pytest.raises(EncodingError, match=word):
+            evaluate(toy4, c)
 
     def test_precedence_property_random(self):
         rng = np.random.default_rng(5)
@@ -199,6 +217,16 @@ class TestQualityAndProductivity:
         c = chrom((1, 2, 3), (1, 1, 1), (0, 3, 0))
         with pytest.raises(ZeroDivisionError):
             productivity(inst, c, decode_schedule(inst, c))
+
+    def test_zero_cost_is_a_domain_error(self):
+        mode = ActivityMode(3, 1, 0.0, 0.0, 60.0, ())
+        inst = make_instance([dummy(1, {2}), real(2, {3}, [mode], 10.0),
+                              dummy(3, ())], price=10.0, overhead=0.0)
+        c = chrom((1, 2, 3), (1, 1, 1), (0, 3, 0))
+        with pytest.raises(ZeroCost):
+            productivity(inst, c, decode_schedule(inst, c))
+        with pytest.raises(ZeroCost):
+            evaluate(inst, c)
 
     def test_coupling_fixed_modes(self, toy4):
         # same modes, varying durations: productivity * npv is constant

@@ -47,6 +47,11 @@ class TestValidate:
         bad = replace_mode(toy4, 1, 1, normal_cost=5.0)
         assert any("dummy" in v.rule for v in validate_instance(bad))
 
+    @pytest.mark.parametrize("rate", [-0.5, float("nan")])
+    def test_interest_rate_negative_or_nan(self, toy4, rate):
+        bad = replace(toy4, interest_rate=rate)
+        assert [v.field for v in validate_instance(bad)] == ["interest_rate"]
+
     def test_unknown_successor(self, toy4):
         bad = replace_activity(toy4, 2, successors=frozenset({9}))
         assert any("successor" in v.rule for v in validate_instance(bad))

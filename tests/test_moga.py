@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crashplan.errors import BadParams, InitTimeout
-from crashplan.evaluate import Chromosome, check_encoding, evaluate
+from crashplan.evaluate import Chromosome, decode_schedule, evaluate
 from crashplan.instance import ActivityMode, generate_instance
 from crashplan.moga import (MogaParams, crossover, frac_count, hill_climb,
                             init_population, make_rng, mutate,
@@ -46,8 +46,8 @@ class TestRandomChromosome:
         rng = np.random.default_rng(1)
         inst = generate_instance(2, 9, 3, 0.5)
         for _ in range(200):
-            check_encoding(toy4, random_chromosome(toy4, rng))
-            check_encoding(inst, random_chromosome(inst, rng))
+            decode_schedule(toy4, random_chromosome(toy4, rng))
+            decode_schedule(inst, random_chromosome(inst, rng))
 
     def test_both_toy4_modes_appear(self, toy4):
         rng = np.random.default_rng(2)
@@ -130,8 +130,8 @@ class TestCrossover:
             c1, c2 = crossover(p1, p2)
             assert (c1.modes, c1.durations) == (p2.modes, p2.durations)
             assert (c2.modes, c2.durations) == (p1.modes, p1.durations)
-            check_encoding(toy4, c1)
-            check_encoding(toy4, c2)
+            decode_schedule(toy4, c1)
+            decode_schedule(toy4, c2)
 
 
 class TestMutate:
@@ -148,7 +148,7 @@ class TestMutate:
         durations_changed = False
         for _ in range(50):
             m = mutate(chain4, c, rng)
-            check_encoding(chain4, m)
+            decode_schedule(chain4, m)
             assert m.order == c.order  # 2 -> 3 edge forbids the swap
             durations_changed |= m.durations != c.durations
         assert durations_changed
@@ -157,7 +157,7 @@ class TestMutate:
         rng = np.random.default_rng(8)
         inst = generate_instance(3, 9, 3, 0.6)
         for _ in range(200):
-            check_encoding(inst, mutate(inst, random_chromosome(inst, rng), rng))
+            decode_schedule(inst, mutate(inst, random_chromosome(inst, rng), rng))
 
 
 def brute_hill_climb_targets(inst, chrom):
