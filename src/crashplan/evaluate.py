@@ -6,6 +6,12 @@ Decoding is earliest-start and is also the only validation: the one walk
 over the order string checks each gene as it schedules it.  Resources are
 aggregate, so start times do not depend on the order string (it is kept
 for operator compatibility).
+
+`evaluate` is the one chain decode -> payments -> NPV -> quality ->
+feasibility, and each rule on it is written once: the NPV cost is
+computed once and handed to the productivity formula and to
+`check_feasibility`, whose time group trusts the decode walk for
+precedence and duration windows and checks only the deadline.
 """
 
 from __future__ import annotations
@@ -212,7 +218,11 @@ def quality_stats(inst: ProjectInstance, chrom: Chromosome) -> tuple[float, floa
 def productivity(inst: ProjectInstance, chrom: Chromosome,
                  sched: DecodedSchedule) -> float:
     """Blended quality divided by the NPV of total costs."""
-    cost = npv_cost(inst, chrom, sched)
+    return _productivity(inst, chrom, npv_cost(inst, chrom, sched))
+
+
+def _productivity(inst: ProjectInstance, chrom: Chromosome,
+                  cost: float) -> float:
     if cost == 0:
         raise ZeroCost("npv_cost is zero; productivity undefined")
     q_min, q_avg = quality_stats(inst, chrom)
@@ -233,50 +243,26 @@ def _discounted_payments(inst: ProjectInstance, sched: DecodedSchedule,
 
 
 def check_feasibility(inst: ProjectInstance, chrom: Chromosome,
-                      sched: DecodedSchedule, plan: PaymentPlan,
-                      *, literal_eq15: bool = False,
-                      _known_cost: float | None = None,
-                      _decoded: bool = False) -> FeasibilityReport:
-    """The three constraint groups: resources, time/scheduling, budget.
+                      sched: DecodedSchedule, plan: PaymentPlan, cost: float,
+                      *, literal_eq15: bool = False) -> FeasibilityReport:
+    """The three constraint groups: resources, time, budget.
 
-    _decoded marks a schedule freshly produced by decode_schedule, for
-    which the duration-bound and precedence parts of the time group hold
-    by construction and are skipped.
+    `sched` must come from decode_schedule, which has already checked
+    precedence and every duration window, so the time group is the
+    deadline alone.  `cost` is npv_cost(inst, chrom, sched), which the
+    caller has computed; the budget group holds when it is covered by the
+    initial capital, the prepayment and the discounted payments of `plan`.
     """
-    n = inst.n
     demands = inst.demand_table
     used = [0] * len(inst.capacities)
-    for k in range(n):
+    for k in range(inst.n):
         row = demands[k][chrom.modes[k] - 1]
         for r in range(len(used)):
             used[r] += row[r]
     resource_ok = all(u <= cap for u, cap in zip(used, inst.capacities))
-
     time_ok = sched.makespan <= inst.deadline
-    if time_ok and not _decoded:
-        bounds = inst.duration_bounds
-        dummy = inst.dummy_flags
-        succ = inst.successor_table
-        finish = sched.finish
-        start = sched.start
-        for k in range(n):
-            if not dummy[k]:
-                lo, hi = bounds[k][chrom.modes[k] - 1]
-                if not (lo <= chrom.durations[k] <= hi):
-                    time_ok = False
-                    break
-            fk = finish[k]
-            for h in succ[k]:
-                if fk > start[h - 1]:
-                    time_ok = False
-                    break
-            else:
-                continue
-            break
-
     available = (inst.initial_capital + plan.prepayment
                  + _discounted_payments(inst, sched, plan, literal_eq15))
-    cost = npv_cost(inst, chrom, sched) if _known_cost is None else _known_cost
     budget_ok = cost <= available + 1e-9
     return FeasibilityReport(resource_ok, time_ok, budget_ok)
 
@@ -287,13 +273,9 @@ def evaluate(inst: ProjectInstance, chrom: Chromosome,
     sched = decode_schedule(inst, chrom)
     plan = compute_payments(inst, sched)
     cost = npv_cost(inst, chrom, sched)
-    if cost == 0:
-        raise ZeroCost("npv_cost is zero; productivity undefined")
-    q_min, q_avg = quality_stats(inst, chrom)
-    alpha = inst.quality_blend
-    prod = (alpha * q_min + (1 - alpha) * q_avg) / cost
-    report = check_feasibility(inst, chrom, sched, plan, literal_eq15=literal_eq15,
-                               _known_cost=cost, _decoded=True)
+    prod = _productivity(inst, chrom, cost)
+    report = check_feasibility(inst, chrom, sched, plan, cost,
+                               literal_eq15=literal_eq15)
     return ObjectiveVector(cost, sched.makespan, prod), report
 
 

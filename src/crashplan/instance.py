@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -125,12 +126,18 @@ class ProjectInstance:
         return tuple(table)
 
     @cached_property
-    def successor_table(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(sorted(a.successors)) for a in self.activities)
-
-    @cached_property
     def dummy_flags(self) -> tuple[bool, ...]:
         return tuple(a.is_dummy for a in self.activities)
+
+    @cached_property
+    def gene_options(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Every (mode, duration) gene of each activity, indexed by id - 1:
+        mode-major with durations ascending; a dummy has only (1, 0)."""
+        return tuple(
+            ((1, 0),) if a.is_dummy else tuple(
+                (m_idx, d) for m_idx, m in enumerate(a.modes, start=1)
+                for d in range(m.crash_duration, m.normal_duration + 1))
+            for a in self.activities)
 
 
 @dataclass(frozen=True)
@@ -220,10 +227,10 @@ def validate_instance(inst: ProjectInstance) -> list[Violation]:
             if not (0 <= m.crash_duration <= m.normal_duration):
                 v.append(Violation(f"{mtag}.crash_duration", "0 <= d_im <= D_im",
                                    f"{m.crash_duration} vs {m.normal_duration}"))
-            if m.normal_cost < 0:
-                v.append(Violation(f"{mtag}.normal_cost", "C_im >= 0"))
-            if m.cost_slope < 0:
-                v.append(Violation(f"{mtag}.cost_slope", "R_im >= 0"))
+            if not (0 <= m.normal_cost < math.inf):
+                v.append(Violation(f"{mtag}.normal_cost", "C_im >= 0 and finite"))
+            if not (0 <= m.cost_slope < math.inf):
+                v.append(Violation(f"{mtag}.cost_slope", "R_im >= 0 and finite"))
             if not (0 <= m.quality <= 100):
                 v.append(Violation(f"{mtag}.quality", "0 <= q_im <= 100", f"got {m.quality}"))
             for r, units in m.demands:
@@ -231,6 +238,8 @@ def validate_instance(inst: ProjectInstance) -> list[Violation]:
                     v.append(Violation(f"{mtag}.demands[{r}]", "demand >= 0"))
                 if r not in cap:
                     v.append(Violation(f"{mtag}.demands[{r}]", "unknown resource id"))
+        if not math.isfinite(act.earned_value):
+            v.append(Violation(f"{tag}.earned_value", "V_i finite"))
         if act.is_dummy:
             m = act.modes[0]
             degenerate = (len(act.modes) == 1 and m.normal_duration == 0
@@ -264,16 +273,30 @@ def validate_instance(inst: ProjectInstance) -> list[Violation]:
 
     if sum(a.earned_value for a in inst.activities) > inst.price + _TOL:
         v.append(Violation("price", "sum of earned values must not exceed U"))
-    if inst.price <= 0:
-        v.append(Violation("price", "U > 0"))
-    if not (inst.interest_rate >= 0):  # also rejects NaN
-        v.append(Violation("interest_rate", "k_x >= 0"))
+    if not (0 < inst.price < math.inf):  # the negated forms reject NaN
+        v.append(Violation("price", "U > 0 and finite"))
+    if not (0 <= inst.interest_rate < math.inf):
+        v.append(Violation("interest_rate", "k_x >= 0 and finite"))
+    else:
+        # the latest possible finish: every activity in series at its
+        # longest normal duration; npv_cost discounts up to it
+        horizon = sum(max((m.normal_duration for m in a.modes), default=0)
+                      for a in inst.activities)
+        try:
+            (1.0 + inst.interest_rate) ** horizon
+        except OverflowError:
+            v.append(Violation("interest_rate", "(1 + k_x) ** H must not overflow",
+                               f"H = {horizon}"))
+    if not (0 <= inst.overhead < math.inf):
+        v.append(Violation("overhead", "overhead >= 0 and finite"))
+    if inst.deadline > sys.float_info.max:
+        v.append(Violation("deadline", "D must not exceed the largest float"))
     if not (0 <= inst.prepay_ratio < 1):
         v.append(Violation("prepay_ratio", "gamma in [0, 1)"))
     if not (inst.prepay_ratio < inst.compensation_ratio <= 1):
         v.append(Violation("compensation_ratio", "theta in (gamma, 1]"))
-    if inst.initial_capital < 0:
-        v.append(Violation("initial_capital", "ICA >= 0"))
+    if not (0 <= inst.initial_capital < math.inf):
+        v.append(Violation("initial_capital", "ICA >= 0 and finite"))
     if not (0 <= inst.quality_blend <= 1):
         v.append(Violation("quality_blend", "alpha in [0, 1]"))
     if inst.payment_count < 1:
@@ -402,7 +425,7 @@ def instance_from_dict(data: dict) -> ProjectInstance:
                     demands=tuple(sorted((str(r), int(u))
                                          for r, u in mraw["demands"].items())),
                 ))
-            except (TypeError, ValueError, AttributeError) as exc:
+            except (TypeError, ValueError, OverflowError, AttributeError) as exc:
                 raise ParseError(f"{mwhere}: bad value ({exc})") from exc
         try:
             activities.append(Activity(
@@ -412,7 +435,7 @@ def instance_from_dict(data: dict) -> ProjectInstance:
                 modes=tuple(modes),
                 is_dummy=bool(raw["is_dummy"]),
             ))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{where}: bad value ({exc})") from exc
     try:
         inst = ProjectInstance(
@@ -429,7 +452,7 @@ def instance_from_dict(data: dict) -> ProjectInstance:
             quality_blend=float(data["quality_blend"]),
             payment_count=int(data["payment_count"]),
         )
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
         raise ParseError(f"top level: bad value ({exc})") from exc
     violations = validate_instance(inst)
     if violations:

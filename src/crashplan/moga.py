@@ -93,10 +93,7 @@ class Evaluator:
 def random_topological_order(inst: ProjectInstance,
                              rng: np.random.Generator) -> tuple[int, ...]:
     """Random linear extension by uniform choice among ready activities."""
-    indeg = [0] * inst.n
-    for act in inst.activities:
-        for h in act.successors:
-            indeg[h - 1] += 1
+    indeg = [len(p) for p in inst.predecessors]
     ready = [i + 1 for i in range(inst.n) if indeg[i] == 0]
     order: list[int] = []
     while ready:
@@ -110,23 +107,28 @@ def random_topological_order(inst: ProjectInstance,
     return tuple(order)
 
 
+def _draw_duration(inst: ProjectInstance, k: int, m: int,
+                   rng: np.random.Generator) -> int:
+    """Uniform duration in the window of mode m of activity k + 1."""
+    lo, hi = inst.duration_bounds[k][m - 1]
+    return int(rng.integers(lo, hi + 1))
+
+
+def _draw_gene(inst: ProjectInstance, k: int,
+               rng: np.random.Generator) -> tuple[int, int]:
+    """Uniform mode of activity k + 1, then a uniform duration in its window."""
+    m = int(rng.integers(1, len(inst.duration_bounds[k]) + 1))
+    return m, _draw_duration(inst, k, m, rng)
+
+
 def random_chromosome(inst: ProjectInstance,
                       rng: np.random.Generator) -> Chromosome:
     """Uniform mode per activity, uniform duration within the mode's window."""
-    modes = []
-    durations = []
-    for act in inst.activities:
-        if act.is_dummy:
-            modes.append(1)
-            durations.append(0)
-            continue
-        m = int(rng.integers(1, len(act.modes) + 1))
-        mode = act.modes[m - 1]
-        modes.append(m)
-        durations.append(int(rng.integers(mode.crash_duration,
-                                          mode.normal_duration + 1)))
+    dummy = inst.dummy_flags
+    genes = [(1, 0) if dummy[k] else _draw_gene(inst, k, rng)
+             for k in range(inst.n)]
     return Chromosome(random_topological_order(inst, rng),
-                      tuple(modes), tuple(durations))
+                      tuple(m for m, _ in genes), tuple(d for _, d in genes))
 
 
 def order_is_topological(inst: ProjectInstance, order: tuple[int, ...]) -> bool:
@@ -149,7 +151,7 @@ def mutate(inst: ProjectInstance, chrom: Chromosome,
     """Two-point mutation: try to swap two non-dummy order positions (kept
     only if still topological) and redraw both activities' mode/duration."""
     real_pos = [p for p, a in enumerate(chrom.order)
-                if not inst.activities[a - 1].is_dummy]
+                if not inst.dummy_flags[a - 1]]
     if len(real_pos) < 2:
         return chrom
     picked = rng.choice(len(real_pos), size=2, replace=False)
@@ -161,12 +163,7 @@ def mutate(inst: ProjectInstance, chrom: Chromosome,
     modes = list(chrom.modes)
     durations = list(chrom.durations)
     for a in (chrom.order[p], chrom.order[q]):
-        act = inst.activities[a - 1]
-        m = int(rng.integers(1, len(act.modes) + 1))
-        mode = act.modes[m - 1]
-        modes[a - 1] = m
-        durations[a - 1] = int(rng.integers(mode.crash_duration,
-                                            mode.normal_duration + 1))
+        modes[a - 1], durations[a - 1] = _draw_gene(inst, a - 1, rng)
     return Chromosome(new_order, tuple(modes), tuple(durations))
 
 
@@ -198,8 +195,9 @@ def hill_climb(inst: ProjectInstance, chrom: Chromosome,
                _eval=None) -> Chromosome:
     """Per-activity exhaustive improvement in order-string sequence.
 
-    For each non-dummy activity, every (mode, duration) variant is built
-    and the feasible ones are ranked together with the input; the scan
+    For each activity, every gene of inst.gene_options other than the
+    current one is built as a variant (a dummy has none), and the
+    feasible variants are ranked together with the input; the scan
     stops at the first activity whose variants strictly outrank the input
     (ties among best-ranked variants broken uniformly when an RNG is
     given, else by scan order).  Without improvement the input returns
@@ -208,20 +206,15 @@ def hill_climb(inst: ProjectInstance, chrom: Chromosome,
     ev = _eval if _eval is not None else Evaluator(inst)
     base_obj, _ = ev(chrom)
     for a in chrom.order:
-        act = inst.activities[a - 1]
-        if act.is_dummy:
-            continue
-        cur_mode = chrom.modes[a - 1]
-        cur_dur = chrom.durations[a - 1]
+        current = (chrom.modes[a - 1], chrom.durations[a - 1])
         variants: list[tuple[ObjectiveVector, Chromosome]] = []
-        for m_idx, mode in enumerate(act.modes, start=1):
-            for d in range(mode.crash_duration, mode.normal_duration + 1):
-                if m_idx == cur_mode and d == cur_dur:
-                    continue
-                cand = replace_gene(chrom, a, m_idx, d)
-                obj, rep = ev(cand)
-                if rep.valid_number == 3:
-                    variants.append((obj, cand))
+        for m_idx, d in inst.gene_options[a - 1]:
+            if (m_idx, d) == current:
+                continue
+            cand = replace_gene(chrom, a, m_idx, d)
+            obj, rep = ev(cand)
+            if rep.valid_number == 3:
+                variants.append((obj, cand))
         if not variants:
             continue
         ranks = nondominated_sort([base_obj] + [o for o, _ in variants])
@@ -288,15 +281,10 @@ def init_population(inst: ProjectInstance, params: SolverParams,
 
 def resample_durations(inst: ProjectInstance, chrom: Chromosome,
                        rng: np.random.Generator) -> Chromosome:
-    durations = []
-    for act in inst.activities:
-        if act.is_dummy:
-            durations.append(0)
-            continue
-        mode = act.modes[chrom.modes[act.id - 1] - 1]
-        durations.append(int(rng.integers(mode.crash_duration,
-                                          mode.normal_duration + 1)))
-    return Chromosome(chrom.order, chrom.modes, tuple(durations))
+    dummy = inst.dummy_flags
+    durations = tuple(0 if dummy[k] else _draw_duration(inst, k, m, rng)
+                      for k, m in enumerate(chrom.modes))
+    return Chromosome(chrom.order, chrom.modes, durations)
 
 
 REPAIR_ATTEMPTS = 20

@@ -10,6 +10,7 @@ duration ranges, not by the activity count alone.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 
 from .errors import NoFeasible, SpaceTooLarge
@@ -23,12 +24,8 @@ DEFAULT_MAX_POINTS = 10_000_000
 
 
 def search_space_size(inst: ProjectInstance) -> int:
-    size = 1
-    for act in inst.activities:
-        if act.is_dummy:
-            continue
-        size *= sum(m.normal_duration - m.crash_duration + 1 for m in act.modes)
-    return size
+    """Number of (mode, duration) assignments the oracle enumerates."""
+    return math.prod(len(genes) for genes in inst.gene_options)
 
 
 def true_pareto_front(inst: ProjectInstance,
@@ -46,18 +43,8 @@ def true_pareto_front(inst: ProjectInstance,
     archive = ParetoArchive()
     evaluator = Evaluator(inst, archive, literal_eq15)
 
-    per_activity: list[list[tuple[int, int]]] = []
-    for act in inst.activities:
-        if act.is_dummy:
-            per_activity.append([(1, 0)])
-        else:
-            per_activity.append([
-                (m_idx, d)
-                for m_idx, mode in enumerate(act.modes, start=1)
-                for d in range(mode.crash_duration, mode.normal_duration + 1)])
-
     feasible = 0
-    for assignment in itertools.product(*per_activity):
+    for assignment in itertools.product(*inst.gene_options):
         chrom = Chromosome(order,
                            tuple(m for m, _ in assignment),
                            tuple(d for _, d in assignment))

@@ -77,8 +77,9 @@ def _same_point(a: ObjectiveVector, b: ObjectiveVector, tol: float = DUPLICATE_T
 
 @dataclass(frozen=True)
 class FrontMember:
-    """One nondominated point; contributors are every chromosome that
-    evaluated to this objective vector (the first one is canonical)."""
+    """One nondominated point; contributors are the distinct chromosomes
+    that evaluated to this objective vector, each recorded once in
+    first-seen order (the first one is canonical)."""
 
     objectives: ObjectiveVector
     contributors: tuple[Chromosome, ...] = ()
@@ -112,24 +113,24 @@ def _canonical_key(m: FrontMember) -> tuple:
 def pareto_filter(pop: list[tuple[ObjectiveVector, Chromosome | None]]) -> Front:
     """Nondominated subset with near-equal objective vectors collapsed.
 
-    The first occurrence of a duplicated vector is kept; every chromosome
-    that produced it is recorded as a contributor.
+    The first occurrence of a duplicated vector is kept; every distinct
+    chromosome that produced it is recorded once as a contributor.
     """
     objs = [obj for obj, _ in pop]
     ranks = nondominated_sort(objs)
     members: list[ObjectiveVector] = []
-    contributors: list[list[Chromosome]] = []
+    contributors: list[dict[Chromosome, None]] = []  # insertion-ordered sets
     for (obj, chrom), rank in zip(pop, ranks):
         if rank != 0:
             continue
         for k, kept in enumerate(members):
             if _same_point(kept, obj):
                 if chrom is not None:
-                    contributors[k].append(chrom)
+                    contributors[k][chrom] = None
                 break
         else:
             members.append(obj)
-            contributors.append([] if chrom is None else [chrom])
+            contributors.append({} if chrom is None else {chrom: None})
     packed = [FrontMember(obj, tuple(chroms))
               for obj, chroms in zip(members, contributors)]
     packed.sort(key=_canonical_key)
@@ -138,27 +139,32 @@ def pareto_filter(pop: list[tuple[ObjectiveVector, Chromosome | None]]) -> Front
 
 @dataclass
 class ParetoArchive:
-    """Incrementally maintained nondominated archive of feasible evaluations."""
+    """Incrementally maintained nondominated archive of feasible evaluations.
 
-    _members: list[FrontMember] = field(default_factory=list)
+    Each member keeps its contributors in an insertion-ordered set (a dict
+    with None values), so a repeated chromosome is recorded once.
+    """
+
+    _members: list[tuple[ObjectiveVector, dict[Chromosome, None]]] = field(
+        default_factory=list)
 
     def add(self, obj: ObjectiveVector, chrom: Chromosome | None = None) -> bool:
         """Insert a point; returns True when it enters the archive."""
-        for k, m in enumerate(self._members):
-            if _same_point(m.objectives, obj):
+        for kept, contributors in self._members:
+            if _same_point(kept, obj):
                 if chrom is not None:
-                    self._members[k] = FrontMember(m.objectives,
-                                                   m.contributors + (chrom,))
+                    contributors[chrom] = None
                 return False
-            if dominates(m.objectives, obj):
+            if dominates(kept, obj):
                 return False
-        self._members = [m for m in self._members
-                         if not dominates(obj, m.objectives)]
-        self._members.append(FrontMember(obj, () if chrom is None else (chrom,)))
+        self._members = [m for m in self._members if not dominates(obj, m[0])]
+        self._members.append((obj, {} if chrom is None else {chrom: None}))
         return True
 
     def front(self) -> Front:
-        return Front(tuple(sorted(self._members, key=_canonical_key)))
+        members = (FrontMember(obj, tuple(contributors))
+                   for obj, contributors in self._members)
+        return Front(tuple(sorted(members, key=_canonical_key)))
 
     def __len__(self) -> int:
         return len(self._members)

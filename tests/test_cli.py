@@ -266,6 +266,52 @@ LEVELS_WITH_TEXT = (
     ' "iterations": [1, 2, 2, 3, 3], "pop_size": [4, 5, 6, 7, "many"]}')
 
 
+class TestInstanceDomain:
+    """Instance values outside the model's domain are rejected on loading
+    (exit 2, one error line), not by a traceback or a misleading domain
+    error deep in a run."""
+
+    @pytest.mark.parametrize("path,value", [
+        (("overhead",), float("nan")),
+        (("overhead",), -1.0),
+        (("price",), float("inf")),
+        (("initial_capital",), float("nan")),
+        (("activities", 1, "earned_value"), float("nan")),
+        (("activities", 1, "modes", 0, "normal_cost"), float("inf")),
+        (("interest_rate",), 1e308),
+        (("interest_rate",), float("inf")),
+        (("deadline",), 10**400),
+        (("deadline",), float("inf")),
+    ], ids=["overhead-nan", "overhead-negative", "price-inf",
+            "initial_capital-nan", "earned_value-nan", "normal_cost-inf",
+            "interest_rate-1e308", "interest_rate-inf", "deadline-1e400",
+            "deadline-inf"])
+    def test_solve_exits_two(self, toy4_path, tmp_path, path, value):
+        data = json.loads(toy4_path.read_text())
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        inst = tmp_path / "bad.json"
+        inst.write_text(json.dumps(data))
+        result = run_cli("solve", "--algo", "moga", "--instance", str(inst),
+                         "--seed", "1", "--pop", "4", "--iterations", "1",
+                         "--out", str(tmp_path / "o.csv"))
+        assert result.returncode == 2, result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_sweep_discount_overflow_exits_two(self, toy4_path, tmp_path):
+        out = tmp_path / "s.csv"
+        result = run_cli("sweep", "--param", "discount", "--values", "1e308",
+                         "--instance", str(toy4_path), "--out", str(out))
+        assert result.returncode == 2, result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "interest_rate" in lines[0]
+        assert not out.exists()
+
+
 class TestBadArgumentValues:
     """Malformed option values exit 2 with one error line, no traceback."""
 

@@ -244,7 +244,8 @@ class TestFeasibility:
     def test_toy4_baseline_all_groups(self, toy4):
         sched = decode_schedule(toy4, TOY4_BASELINE)
         plan = compute_payments(toy4, sched)
-        report = check_feasibility(toy4, TOY4_BASELINE, sched, plan)
+        report = check_feasibility(toy4, TOY4_BASELINE, sched, plan,
+                                   npv_cost(toy4, TOY4_BASELINE, sched))
         assert (report.resource_ok, report.time_ok, report.budget_ok) == (True,) * 3
         assert report.valid_number == 3
 
@@ -252,7 +253,8 @@ class TestFeasibility:
         inst = replace(toy4, resource_capacity=(("r1", 3),))
         sched = decode_schedule(inst, TOY4_BASELINE)
         plan = compute_payments(inst, sched)
-        report = check_feasibility(inst, TOY4_BASELINE, sched, plan)
+        report = check_feasibility(inst, TOY4_BASELINE, sched, plan,
+                                   npv_cost(inst, TOY4_BASELINE, sched))
         assert not report.resource_ok  # 2 + 2 = 4 > 3 in aggregate
         assert report.valid_number == 2
 
@@ -260,7 +262,8 @@ class TestFeasibility:
         inst = replace(toy4, deadline=4)  # baseline makespan is 5
         sched = decode_schedule(inst, TOY4_BASELINE)
         plan = compute_payments(inst, sched)
-        report = check_feasibility(inst, TOY4_BASELINE, sched, plan)
+        report = check_feasibility(inst, TOY4_BASELINE, sched, plan,
+                                   npv_cost(inst, TOY4_BASELINE, sched))
         assert not report.time_ok
 
     def test_budget_violation(self, toy4):
@@ -269,7 +272,8 @@ class TestFeasibility:
         inst = replace_activity(inst, 3, earned_value=120.0)
         sched = decode_schedule(inst, TOY4_BASELINE)
         plan = compute_payments(inst, sched)
-        report = check_feasibility(inst, TOY4_BASELINE, sched, plan)
+        report = check_feasibility(inst, TOY4_BASELINE, sched, plan,
+                                   npv_cost(inst, TOY4_BASELINE, sched))
         # available = 40 + 48/1.05^4 + 112/1.05^5 ~= 167.2 < npv ~= 239.0
         assert not report.budget_ok
 
@@ -281,8 +285,10 @@ class TestFeasibility:
         inst = replace_activity(inst, 3, earned_value=120.0)
         sched = decode_schedule(inst, TOY4_BASELINE)
         plan = compute_payments(inst, sched)
-        event_rule = check_feasibility(inst, TOY4_BASELINE, sched, plan)
+        event_rule = check_feasibility(inst, TOY4_BASELINE, sched, plan,
+                                       npv_cost(inst, TOY4_BASELINE, sched))
         literal = check_feasibility(inst, TOY4_BASELINE, sched, plan,
+                                    npv_cost(inst, TOY4_BASELINE, sched),
                                     literal_eq15=True)
         assert not event_rule.budget_ok
         assert literal.budget_ok
@@ -296,7 +302,8 @@ class TestEvaluate:
         assert obj.npv_cost == npv_cost(toy4, TOY4_BASELINE, sched)
         assert obj.makespan == sched.makespan
         assert obj.productivity == productivity(toy4, TOY4_BASELINE, sched)
-        assert report == check_feasibility(toy4, TOY4_BASELINE, sched, plan)
+        assert report == check_feasibility(
+            toy4, TOY4_BASELINE, sched, plan, npv_cost(toy4, TOY4_BASELINE, sched))
 
     def test_pure(self, toy4):
         assert evaluate(toy4, TOY4_BASELINE) == evaluate(toy4, TOY4_BASELINE)

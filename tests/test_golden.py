@@ -1,8 +1,9 @@
 """Cross-commit reproducibility pins.
 
-Each case fixes a solver run by its inputs and pins two outputs that must
-not change unless a change means to alter an RNG stream or the evaluation
-count: `FrontReport.evaluations` and the sha256 of the front CSV bytes.
+Each case fixes a solver or oracle run by its inputs and pins two outputs
+that must not change unless a change means to alter an RNG stream or the
+evaluation count: `FrontReport.evaluations` and the sha256 of the front
+CSV bytes.
 A change that moves these values records why in CHANGES.md and updates
 the pins in the same commit.
 """
@@ -15,6 +16,7 @@ import pytest
 from crashplan.instance import generate_instance
 from crashplan.moga import MogaParams, run_moga
 from crashplan.nsga2 import Nsga2Params, run_nsga2
+from crashplan.oracle import true_pareto_front
 from crashplan.reporting import front_to_csv
 
 LONG = 10**6  # iterations for runs that stop on max_evaluations
@@ -53,6 +55,17 @@ CASES = [
      "336481029467122f08b534be6d831f5b6a8796d7efed7fc2a5eb7cf1a0fff4ce"),
     ("moga", "tight", dict(seed=50, pop_size=12, iterations=6), {}, 864,
      "a11ae8c89287346bb416a9f766e0d1a1175f6787900d397932c537494238fd51"),
+    ("oracle", "toy4", {}, {}, 15,
+     "bba4c68ef773a082e64b6e962d1186e7f2e0f9b7b219065ce799e0c8c8b521fe"),
+    ("oracle", "toy4", {}, {"literal_eq15": True}, 15,
+     "bba4c68ef773a082e64b6e962d1186e7f2e0f9b7b219065ce799e0c8c8b521fe"),
+    ("oracle", "tight6", {}, {}, 4096,
+     "4cafd024b9b6e1742dc7bf7b10c54ebb0071e59a4f37f457cd72f3f5216af47e"),
+    ("oracle", "tight6", {}, {"literal_eq15": True}, 4096,
+     "2baad4c57879df99fab2c8214917135ac08ca98b8615676d05fbaae8b204e2b0"),
+    ("moga", "tight6", dict(seed=5, pop_size=10, iterations=10),
+     {"literal_eq15": True}, 2575,
+     "7921317e41559247238d46148b0e27045caefc9fa170d96b8e78e7bb1b59bf59"),
 ]
 
 
@@ -60,13 +73,20 @@ CASES = [
 def instances(toy4):
     return {"toy4": toy4,
             "gen": generate_instance(2, 8, 3, 0.4, budget_slack=0.5),
-            "tight": generate_instance(3000, 12, 2, 0.3, budget_slack=0.0)}
+            "tight": generate_instance(3000, 12, 2, 0.3, budget_slack=0.0),
+            # the criterion-1 family's shape without its budget slack, so
+            # that the literal discounting rule changes the front (6 -> 12)
+            "tight6": generate_instance(1, 6, 2, 0.5, min_modes=2, min_normal=4,
+                                        min_span=3, max_span=3,
+                                        budget_slack=0.0)}
 
 
 @pytest.mark.parametrize("algo,name,params,kwargs,evaluations,digest", CASES)
 def test_run_is_pinned(instances, tmp_path, algo, name, params, kwargs,
                        evaluations, digest):
-    if algo == "moga":
+    if algo == "oracle":
+        report = true_pareto_front(instances[name], **kwargs)
+    elif algo == "moga":
         report = run_moga(instances[name], MogaParams(**params), **kwargs)
     else:
         report = run_nsga2(instances[name], Nsga2Params(**params), **kwargs)

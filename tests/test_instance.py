@@ -11,6 +11,9 @@ from crashplan.instance import (compute_time_windows, generate_instance,
 
 from conftest import dummy, replace_activity, replace_mode
 
+NAN = float("nan")
+INF = float("inf")
+
 
 class TestValidate:
     def test_toy4_is_clean(self, toy4):
@@ -51,6 +54,35 @@ class TestValidate:
     def test_interest_rate_negative_or_nan(self, toy4, rate):
         bad = replace(toy4, interest_rate=rate)
         assert [v.field for v in validate_instance(bad)] == ["interest_rate"]
+
+    @pytest.mark.parametrize("changes", [
+        {"overhead": NAN}, {"overhead": INF}, {"overhead": -1.0},
+        {"price": NAN}, {"price": INF},
+        {"initial_capital": NAN}, {"initial_capital": INF},
+        {"interest_rate": INF},
+        {"interest_rate": 1e308},  # (1 + k) ** H overflows
+        {"deadline": 10**400},     # above the largest float
+    ])
+    def test_top_level_value_out_of_domain(self, toy4, changes):
+        bad = replace(toy4, **changes)
+        assert [v.field for v in validate_instance(bad)] == list(changes)
+
+    def test_large_rate_below_overflow_accepted(self, toy4):
+        # toy4's horizon H is 9 and 1e30 ** 9 is finite
+        assert validate_instance(replace(toy4, interest_rate=1e30)) == []
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_non_finite_activity_values(self, toy4, value):
+        cases = [
+            (replace_activity(toy4, 2, earned_value=value),
+             "activities[1].earned_value"),
+            (replace_mode(toy4, 2, 1, normal_cost=value),
+             "activities[1].modes[0].normal_cost"),
+            (replace_mode(toy4, 2, 1, cost_slope=value),
+             "activities[1].modes[0].cost_slope"),
+        ]
+        for bad, field in cases:
+            assert field in [v.field for v in validate_instance(bad)]
 
     def test_unknown_successor(self, toy4):
         bad = replace_activity(toy4, 2, successors=frozenset({9}))

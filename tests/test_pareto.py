@@ -118,6 +118,12 @@ class TestParetoFilter:
         assert front.members[0].chromosome == c1
         assert front.members[0].contributors == (c1, c2)
 
+    def test_repeated_contributor_recorded_once(self):
+        c1 = Chromosome((1, 2), (1, 1), (0, 0))
+        c2 = Chromosome((1, 2), (1, 2), (0, 0))
+        front = pareto_filter([(vec(100, 5, 0.3), c) for c in (c1, c2, c1, c2)])
+        assert front.members[0].contributors == (c1, c2)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force(self, seed):
         rng = np.random.default_rng(100 + seed)
@@ -167,6 +173,14 @@ class TestArchive:
         archive = ParetoArchive()
         archive.add(vec(1, 1, 1), c1)
         archive.add(vec(1, 1, 1), c2)
+        assert archive.front().members[0].contributors == (c1, c2)
+
+    def test_same_chromosome_twice_leaves_one_contributor(self):
+        c1 = Chromosome((1, 2), (1, 1), (0, 0))
+        c2 = Chromosome((1, 2), (1, 2), (0, 0))
+        archive = ParetoArchive()
+        for c in (c1, c1, c2, c1):
+            archive.add(vec(1, 1, 1), c)
         assert archive.front().members[0].contributors == (c1, c2)
 
     def test_insertion_order_independent(self):
