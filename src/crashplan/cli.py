@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import danp as danp_mod
-from .errors import CrashplanError, ParseError
+from .errors import BadParams, CrashplanError, ParseError
 from .evaluate import (baseline_chromosome, compute_payments, decode_schedule,
                        evaluate, parse_solution)
 from .instance import (generate_instance, instance_hash, load_instance,
@@ -137,12 +137,15 @@ def _sidecar(args_out: str, argv: list[str], **payload) -> None:
 
 
 def _cmd_gen(args, argv) -> int:
-    inst = generate_instance(
-        args.seed, args.activities, args.modes, args.density,
-        min_modes=args.min_modes, n_resources=args.resources,
-        min_span=args.min_span, max_span=args.max_span,
-        max_normal=args.max_normal, payment_count=args.payments,
-        budget_slack=args.budget_slack)
+    try:
+        inst = generate_instance(
+            args.seed, args.activities, args.modes, args.density,
+            min_modes=args.min_modes, n_resources=args.resources,
+            min_span=args.min_span, max_span=args.max_span,
+            max_normal=args.max_normal, payment_count=args.payments,
+            budget_slack=args.budget_slack)
+    except BadParams as exc:  # an option value out of range is a usage error
+        raise ParseError(str(exc)) from None
     save_instance(inst, args.out)
     _sidecar(args.out, argv, seed=args.seed, instance_hash=instance_hash(inst))
     return 0

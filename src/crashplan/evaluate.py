@@ -7,15 +7,27 @@ over the order string checks each gene as it schedules it.  Resources are
 aggregate, so start times do not depend on the order string (it is kept
 for operator compatibility).
 
-`evaluate` is the one chain decode -> payments -> NPV -> quality ->
-feasibility, and each rule on it is written once: the NPV cost is
-computed once and handed to the productivity formula and to
-`check_feasibility`, whose time group trusts the decode walk for
-precedence and duration windows and checks only the deadline.
+`evaluate` runs the chain decode -> payments -> NPV -> quality ->
+feasibility as `decode_schedule` plus one scoring pass over the
+instance's compiled tables (`ProjectInstance.compiled`): one loop over
+the payment events, then one over the real activities.  The stage
+functions `compute_payments`, `npv_cost`, `quality_stats`, `productivity`
+and `check_feasibility` are the reference path, used by tests,
+`budget_balance` and the CLI's `eval`; the scoring pass adds the same
+operands in the same order, so both paths agree bit for bit.  The
+payment-event rule is written once, for both.  `check_feasibility` trusts
+the decode walk for precedence and duration windows and checks only the
+deadline of the time group.
+
+`evaluate_variant` scores a chromosome that differs from an already
+decoded one in a single gene: it re-times only the changed activity and
+its descendants.  The hill climb scores its neighbourhood this way.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import le
 from typing import NamedTuple
 
 from .errors import EncodingError, NoRealActivities, ZeroCost
@@ -25,8 +37,8 @@ __all__ = [
     "Chromosome", "DecodedSchedule", "PaymentEvent", "PaymentPlan",
     "ObjectiveVector", "FeasibilityReport", "baseline_chromosome",
     "decode_schedule", "compute_payments", "npv_cost", "quality_stats",
-    "productivity", "check_feasibility", "evaluate", "budget_balance",
-    "format_solution", "parse_solution",
+    "productivity", "check_feasibility", "evaluate", "evaluate_variant",
+    "budget_balance", "format_solution", "parse_solution",
 ]
 
 
@@ -134,6 +146,37 @@ def decode_schedule(inst: ProjectInstance, chrom: Chromosome) -> DecodedSchedule
     return DecodedSchedule(tuple(start), tuple(finish), finish[n - 1])
 
 
+def _payment_events(inst: ProjectInstance, finish, makespan: int,
+                    share: float, prepayment: float):
+    """The payment-event rule, shared by compute_payments and the scoring
+    pass: yields (index, activity, time, amount, fallback) per event.
+
+    `share` is theta - gamma and `prepayment` is gamma * U.
+    """
+    j_total = inst.payment_count
+    values = inst.earned_values
+    ascending = sorted(finish) if j_total > 1 else ()
+    prev_earned = 0.0
+    paid = 0.0
+    for j in range(1, j_total):
+        pos = bisect_left(ascending, j * inst.deadline / j_total)
+        fallback = pos == len(ascending)
+        if fallback:
+            activity, best_t = inst.n, makespan
+        else:
+            best_t = ascending[pos]
+            activity = finish.index(best_t) + 1  # ties to the smallest id
+        earned = 0.0
+        for v, t in zip(values, finish):
+            if t <= best_t:
+                earned += v
+        amount = share * (earned - prev_earned)
+        prev_earned = earned
+        paid += amount
+        yield j, activity, best_t, amount, fallback
+    yield j_total, inst.n, makespan, inst.price - (prepayment + paid), False
+
+
 def compute_payments(inst: ProjectInstance, sched: DecodedSchedule) -> PaymentPlan:
     """Payment plan under the deadline-fraction event rule.
 
@@ -143,39 +186,11 @@ def compute_payments(inst: ProjectInstance, sched: DecodedSchedule) -> PaymentPl
     final payment settles the remainder at the makespan.  If no activity
     finishes at or after a threshold the event falls back to activity n.
     """
-    j_total = inst.payment_count
-    gamma = inst.prepay_ratio
-    theta = inst.compensation_ratio
-    u = inst.price
-    finish = sched.finish
-    values = inst.earned_values
-    n = inst.n
-
-    events: list[PaymentEvent] = []
-    prev_earned = 0.0
-    paid = 0.0
-    for j in range(1, j_total):
-        threshold = j * inst.deadline / j_total
-        best_id = 0
-        best_t = 0
-        for k in range(n):
-            t = finish[k]
-            if t >= threshold and (best_id == 0 or t < best_t):
-                best_id, best_t = k + 1, t
-        fallback = best_id == 0
-        if fallback:
-            best_id, best_t = n, sched.makespan
-        earned = 0.0
-        for k in range(n):
-            if finish[k] <= best_t:
-                earned += values[k]
-        amount = (theta - gamma) * (earned - prev_earned)
-        prev_earned = earned
-        paid += amount
-        events.append(PaymentEvent(j, best_id, best_t, amount, fallback))
-    final = u - (gamma * u + paid)
-    events.append(PaymentEvent(j_total, n, sched.makespan, final))
-    return PaymentPlan(tuple(events), gamma * u)
+    prepayment = inst.prepay_ratio * inst.price
+    events = _payment_events(inst, sched.finish, sched.makespan,
+                             inst.compensation_ratio - inst.prepay_ratio,
+                             prepayment)
+    return PaymentPlan(tuple(PaymentEvent(*e) for e in events), prepayment)
 
 
 def npv_cost(inst: ProjectInstance, chrom: Chromosome,
@@ -218,11 +233,7 @@ def quality_stats(inst: ProjectInstance, chrom: Chromosome) -> tuple[float, floa
 def productivity(inst: ProjectInstance, chrom: Chromosome,
                  sched: DecodedSchedule) -> float:
     """Blended quality divided by the NPV of total costs."""
-    return _productivity(inst, chrom, npv_cost(inst, chrom, sched))
-
-
-def _productivity(inst: ProjectInstance, chrom: Chromosome,
-                  cost: float) -> float:
+    cost = npv_cost(inst, chrom, sched)
     if cost == 0:
         raise ZeroCost("npv_cost is zero; productivity undefined")
     q_min, q_avg = quality_stats(inst, chrom)
@@ -267,16 +278,93 @@ def check_feasibility(inst: ProjectInstance, chrom: Chromosome,
     return FeasibilityReport(resource_ok, time_ok, budget_ok)
 
 
+def _score(inst: ProjectInstance, chrom: Chromosome, start, finish,
+           literal_eq15: bool) -> tuple[ObjectiveVector, FeasibilityReport]:
+    """Objectives and feasibility of a decoded chromosome in two loops.
+
+    The first walks the payment events, the second the real activities for
+    the NPV cost, Q_min/Q_sum and resource use.  Every float sum takes the
+    operands of the reference path (compute_payments, npv_cost,
+    quality_stats, productivity, check_feasibility) in the same order, so
+    the results are bit-equal to it.
+    """
+    view = inst.compiled
+    rate = view.rate
+    makespan = finish[-1]
+    paid = 0.0
+    for _, activity, t, amount, _ in _payment_events(
+            inst, finish, makespan, view.share, view.prepayment):
+        if literal_eq15:
+            t = start[activity - 1]
+        paid += amount / rate ** t
+
+    genes = view.genes
+    modes = chrom.modes
+    durations = chrom.durations
+    demand_rows = []
+    cost = 0.0
+    q_min = float("inf")
+    q_sum = 0.0
+    for k in view.real:
+        normal_cost, slope, normal_duration, q, demands = genes[k][modes[k] - 1]
+        cost += ((normal_cost + slope * (normal_duration - durations[k]))
+                 / rate ** finish[k])
+        if q < q_min:
+            q_min = q
+        q_sum += q
+        demand_rows.append(demands)
+    cost += inst.overhead * makespan / rate ** makespan
+    if cost == 0:
+        raise ZeroCost("npv_cost is zero; productivity undefined")
+    if not view.real:
+        raise NoRealActivities("instance has only dummy activities")
+    alpha = inst.quality_blend
+    prod = (alpha * q_min + (1 - alpha) * (q_sum / len(view.real))) / cost
+
+    # resources: the column sums of the selected demand rows
+    report = FeasibilityReport(
+        all(map(le, map(sum, zip(*demand_rows)), view.capacity_left)),
+        makespan <= inst.deadline,
+        cost <= inst.initial_capital + view.prepayment + paid + 1e-9)
+    return ObjectiveVector(cost, makespan, prod), report
+
+
 def evaluate(inst: ProjectInstance, chrom: Chromosome,
              *, literal_eq15: bool = False) -> tuple[ObjectiveVector, FeasibilityReport]:
     """Full evaluation; equal to composing the individual operations."""
     sched = decode_schedule(inst, chrom)
-    plan = compute_payments(inst, sched)
-    cost = npv_cost(inst, chrom, sched)
-    prod = _productivity(inst, chrom, cost)
-    report = check_feasibility(inst, chrom, sched, plan, cost,
-                               literal_eq15=literal_eq15)
-    return ObjectiveVector(cost, sched.makespan, prod), report
+    return _score(inst, chrom, sched.start, sched.finish, literal_eq15)
+
+
+def evaluate_variant(inst: ProjectInstance, base: DecodedSchedule,
+                     variant: Chromosome, activity: int,
+                     *, literal_eq15: bool = False,
+                     ) -> tuple[ObjectiveVector, FeasibilityReport]:
+    """evaluate(inst, variant) for a one-gene variant of a decoded chromosome.
+
+    `base` is decode_schedule(inst, chrom), and `variant` differs from chrom
+    in the gene of `activity` only, a gene taken from inst.gene_options, so
+    the variant needs no second validation.  Only `activity` and its
+    descendants are re-timed, by one forward pass in topological order.
+    """
+    k = activity - 1
+    start, finish = base.start, base.finish
+    durations = variant.durations
+    if start[k] + durations[k] != finish[k]:
+        view = inst.compiled
+        preds = view.predecessors
+        start = list(start)
+        finish = list(finish)
+        finish[k] = start[k] + durations[k]
+        for h in view.descendants[k]:
+            s = 0
+            for p in preds[h]:
+                f = finish[p]
+                if f > s:
+                    s = f
+            start[h] = s
+            finish[h] = s + durations[h]
+    return _score(inst, variant, start, finish, literal_eq15)
 
 
 def budget_balance(inst: ProjectInstance, chrom: Chromosome) -> float:

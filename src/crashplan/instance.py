@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +45,31 @@ class Activity:
     earned_value: float
     modes: tuple[ActivityMode, ...]
     is_dummy: bool = False
+
+
+class CompiledInstance(NamedTuple):
+    """Flat tables for the scoring pass of `evaluate` and the hill climb's
+    re-timing of one-gene variants; all activity references are indices
+    (id - 1).  Built once per instance by ProjectInstance.compiled."""
+
+    #: the non-dummy activities, ascending
+    real: tuple[int, ...]
+    #: (normal_cost, cost_slope, normal_duration, quality, demands) per
+    #: activity and mode index - 1; demands follow resource_capacity order
+    genes: tuple[tuple[tuple[float, float, int, float, tuple[int, ...]], ...], ...]
+    #: 1 + k_x, the per-period discount base
+    rate: float
+    #: theta - gamma, the share of newly earned value paid at each event
+    share: float
+    #: gamma * U
+    prepayment: float
+    #: each capacity less the dummies' demand: a dummy has one mode, so its
+    #: demand is fixed and the scoring pass sums the real activities only
+    capacity_left: tuple[int, ...]
+    predecessors: tuple[tuple[int, ...], ...]
+    #: everything reachable from each activity, in canonical topological
+    #: order, so one forward pass over it re-times a change to that activity
+    descendants: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -128,6 +154,35 @@ class ProjectInstance:
     @cached_property
     def dummy_flags(self) -> tuple[bool, ...]:
         return tuple(a.is_dummy for a in self.activities)
+
+    @cached_property
+    def compiled(self) -> CompiledInstance:
+        """The evaluation tables, built on first use (the first evaluation)."""
+        topo_pos = {i: p for p, i in enumerate(topological_order(self))}
+        genes = tuple(
+            tuple((nc, slope, nd, q, demands) for (nc, slope, nd), q, demands
+                  in zip(costs, qualities, demand_rows))
+            for costs, qualities, demand_rows
+            in zip(self.cost_table, self.quality_table, self.demand_table))
+        capacity_left = list(self.capacities)
+        for k, is_dummy in enumerate(self.dummy_flags):
+            if is_dummy:
+                for r, units in enumerate(self.demand_table[k][0]):
+                    capacity_left[r] -= units
+        return CompiledInstance(
+            real=tuple(k for k, is_dummy in enumerate(self.dummy_flags)
+                       if not is_dummy),
+            genes=genes,
+            rate=1.0 + self.interest_rate,
+            share=self.compensation_ratio - self.prepay_ratio,
+            prepayment=self.prepay_ratio * self.price,
+            capacity_left=tuple(capacity_left),
+            predecessors=tuple(tuple(p - 1 for p in preds)
+                               for preds in self.predecessors),
+            descendants=tuple(
+                tuple(i - 1 for i in sorted(_reachable_from(self, a.id) - {a.id},
+                                            key=topo_pos.__getitem__))
+                for a in self.activities))
 
     @cached_property
     def gene_options(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -301,6 +356,11 @@ def validate_instance(inst: ProjectInstance) -> list[Violation]:
         v.append(Violation("quality_blend", "alpha in [0, 1]"))
     if inst.payment_count < 1:
         v.append(Violation("payment_count", "J >= 1"))
+    elif inst.payment_count > n:
+        # each event is tied to an activity's completion, so more events
+        # than activities would repeat one; this bounds the payment walk
+        v.append(Violation("payment_count", "J <= n",
+                           f"got {inst.payment_count}, n = {n}"))
     return v
 
 
@@ -516,6 +576,9 @@ def generate_instance(seed: int, n: int, max_modes: int, density: float,
         raise BadParams("need 1 <= min_normal <= max_normal")
     if not (0 <= min_span <= max_span):
         raise BadParams("need 0 <= min_span <= max_span")
+    if payment_count is not None and not (1 <= payment_count <= n):
+        raise BadParams(f"payment_count must be in [1, n = {n}], "
+                        f"got {payment_count}")
 
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     reals = list(range(2, n))

@@ -16,7 +16,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .errors import BadParams, InitTimeout
-from .evaluate import Chromosome, ObjectiveVector, evaluate
+from .evaluate import (Chromosome, DecodedSchedule, ObjectiveVector,
+                       decode_schedule, evaluate, evaluate_variant)
 from .instance import ProjectInstance, instance_hash
 from .pareto import (ParetoArchive, group_by_rank, nondominated_sort,
                      pareto_filter)
@@ -80,11 +81,21 @@ class Evaluator:
         self.count = 0
 
     def __call__(self, chrom: Chromosome):
+        return self._record(chrom, evaluate(self.inst, chrom,
+                                            literal_eq15=self.literal_eq15))
+
+    def variant(self, base: DecodedSchedule, chrom: Chromosome, activity: int):
+        """Evaluate a one-gene variant of a decoded chromosome; see
+        evaluate_variant for what `base` and `chrom` must be."""
+        return self._record(chrom, evaluate_variant(
+            self.inst, base, chrom, activity, literal_eq15=self.literal_eq15))
+
+    def _record(self, chrom: Chromosome, result):
         self.count += 1
-        obj, rep = evaluate(self.inst, chrom, literal_eq15=self.literal_eq15)
+        obj, rep = result
         if self.archive is not None and rep.valid_number == 3:
             self.archive.add(obj, chrom)
-        return obj, rep
+        return result
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +213,15 @@ def hill_climb(inst: ProjectInstance, chrom: Chromosome,
     (ties among best-ranked variants broken uniformly when an RNG is
     given, else by scan order).  Without improvement the input returns
     unchanged; the result is never dominated by the input.
+
+    The input is evaluated, and so validated, once; each variant is then
+    scored from the input's schedule by Evaluator.variant, which re-times
+    only the changed activity and its descendants.  Every variant counts
+    as one evaluation.
     """
     ev = _eval if _eval is not None else Evaluator(inst)
     base_obj, _ = ev(chrom)
+    base = decode_schedule(inst, chrom)
     for a in chrom.order:
         current = (chrom.modes[a - 1], chrom.durations[a - 1])
         variants: list[tuple[ObjectiveVector, Chromosome]] = []
@@ -212,7 +229,7 @@ def hill_climb(inst: ProjectInstance, chrom: Chromosome,
             if (m_idx, d) == current:
                 continue
             cand = replace_gene(chrom, a, m_idx, d)
-            obj, rep = ev(cand)
+            obj, rep = ev.variant(base, cand, a)
             if rep.valid_number == 3:
                 variants.append((obj, cand))
         if not variants:

@@ -149,16 +149,33 @@ class ParetoArchive:
         default_factory=list)
 
     def add(self, obj: ObjectiveVector, chrom: Chromosome | None = None) -> bool:
-        """Insert a point; returns True when it enters the archive."""
+        """Insert a point; returns True when it enters the archive.
+
+        Each kept point is tested as _same_point(kept, obj), then as
+        dominates(kept, obj), written out inline for speed.
+        """
+        cost, time, prod = obj
+        if math.isnan(cost) or math.isnan(prod):
+            raise ValueError("NaN objective value")
+        tol = DUPLICATE_TOL
         for kept, contributors in self._members:
-            if _same_point(kept, obj):
+            k_cost, k_time, k_prod = kept
+            if (abs(k_cost - cost) <= tol and k_time == time
+                    and abs(k_prod - prod) <= tol):
                 if chrom is not None:
                     contributors[chrom] = None
                 return False
-            if dominates(kept, obj):
+            if (k_cost <= cost and k_time <= time and k_prod >= prod
+                    and (k_cost < cost or k_time < time or k_prod > prod)):
                 return False
-        self._members = [m for m in self._members if not dominates(obj, m[0])]
-        self._members.append((obj, {} if chrom is None else {chrom: None}))
+        survivors = []
+        for member in self._members:
+            k_cost, k_time, k_prod = member[0]
+            if not (cost <= k_cost and time <= k_time and prod >= k_prod
+                    and (cost < k_cost or time < k_time or prod > k_prod)):
+                survivors.append(member)
+        survivors.append((obj, {} if chrom is None else {chrom: None}))
+        self._members = survivors
         return True
 
     def front(self) -> Front:

@@ -80,3 +80,20 @@ def replace_mode(inst: ProjectInstance, act_id: int, mode_idx: int,
     modes = list(act.modes)
     modes[mode_idx - 1] = replace(modes[mode_idx - 1], **changes)
     return replace_activity(inst, act_id, modes=tuple(modes))
+
+
+def relabel(inst: ProjectInstance, new_id) -> ProjectInstance:
+    """Copy of inst in which activity i is renamed new_id[i - 1]."""
+    acts: list = [None] * inst.n
+    for act in inst.activities:
+        k = new_id[act.id - 1]
+        acts[k - 1] = replace(act, id=k, successors=frozenset(
+            new_id[h - 1] for h in act.successors))
+    return replace(inst, activities=tuple(acts))
+
+
+def reverse_real_ids(inst: ProjectInstance) -> ProjectInstance:
+    """The dummies keep ids 1 and n and the real ids run backwards, so a
+    generated instance (whose ids are topological) stops being so."""
+    n = inst.n
+    return relabel(inst, (1,) + tuple(range(n - 1, 1, -1)) + (n,))

@@ -250,6 +250,15 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         assert run_cli("gen", "--seed", "1").returncode == 2
 
+    def test_gen_more_payments_than_activities(self, tmp_path):
+        out = tmp_path / "inst.json"
+        result = run_cli("gen", "--seed", "1", "--activities", "6",
+                         "--modes", "2", "--payments", "7", "--out", str(out))
+        assert result.returncode == 2, result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
+
     def test_parse_error_exit_two(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -282,10 +291,12 @@ class TestInstanceDomain:
         (("interest_rate",), float("inf")),
         (("deadline",), 10**400),
         (("deadline",), float("inf")),
+        # one evaluation used to take 0.5 s at this J; now it is refused
+        (("payment_count",), 100_000),
     ], ids=["overhead-nan", "overhead-negative", "price-inf",
             "initial_capital-nan", "earned_value-nan", "normal_cost-inf",
             "interest_rate-1e308", "interest_rate-inf", "deadline-1e400",
-            "deadline-inf"])
+            "deadline-inf", "payment_count-100000"])
     def test_solve_exits_two(self, toy4_path, tmp_path, path, value):
         data = json.loads(toy4_path.read_text())
         target = data

@@ -3,12 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crashplan.errors import EncodingError, NoRealActivities, ZeroCost
+from crashplan.errors import (BadParams, EncodingError, NoRealActivities,
+                              ZeroCost)
 from crashplan.evaluate import (Chromosome, check_feasibility,
                                 compute_payments, decode_schedule, evaluate,
                                 format_solution, npv_cost, parse_solution,
                                 productivity, quality_stats)
-from crashplan.instance import ActivityMode, generate_instance
+from crashplan.instance import (ActivityMode, generate_instance,
+                                topological_order)
 from crashplan.moga import random_chromosome
 
 from conftest import dummy, make_instance, real, replace_activity
@@ -60,10 +62,11 @@ class TestDecode:
     def test_each_fault_class_rejected(self, toy4, order, modes, durations,
                                        word):
         c = chrom(order, modes, durations)
-        with pytest.raises(EncodingError, match=word):
+        with pytest.raises(EncodingError, match=word) as by_decode:
             decode_schedule(toy4, c)
-        with pytest.raises(EncodingError, match=word):
+        with pytest.raises(EncodingError) as by_evaluate:
             evaluate(toy4, c)
+        assert str(by_evaluate.value) == str(by_decode.value)
 
     def test_precedence_property_random(self):
         rng = np.random.default_rng(5)
@@ -307,6 +310,23 @@ class TestEvaluate:
 
     def test_pure(self, toy4):
         assert evaluate(toy4, TOY4_BASELINE) == evaluate(toy4, TOY4_BASELINE)
+
+    def test_cyclic_instance_fails_in_the_decode_walk(self, toy4):
+        # the compiled tables need a topological order, but the walk that
+        # runs before them already rejects every order of a cyclic graph
+        cyclic = replace_activity(toy4, 2, successors=frozenset({3, 4}))
+        cyclic = replace_activity(cyclic, 3, successors=frozenset({2, 4}))
+        with pytest.raises(BadParams):
+            topological_order(cyclic)
+        with pytest.raises(EncodingError, match="precedence"):
+            evaluate(cyclic, TOY4_BASELINE)
+
+    def test_zero_cost_before_no_real_activities(self):
+        # only dummies: no real activity and a zero NPV cost; the cost
+        # check comes first, as in productivity()
+        inst = make_instance([dummy(1, {2}), dummy(2, ())], overhead=5.0)
+        with pytest.raises(ZeroCost):
+            evaluate(inst, chrom((1, 2), (1, 1), (0, 0)))
 
     def test_infeasible_still_scored(self, toy4):
         inst = replace(toy4, deadline=4)

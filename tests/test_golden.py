@@ -19,6 +19,8 @@ from crashplan.nsga2 import Nsga2Params, run_nsga2
 from crashplan.oracle import true_pareto_front
 from crashplan.reporting import front_to_csv
 
+from conftest import reverse_real_ids
+
 LONG = 10**6  # iterations for runs that stop on max_evaluations
 
 # (solver, instance, params, run keywords, evaluations, front CSV sha256)
@@ -66,6 +68,8 @@ CASES = [
     ("moga", "tight6", dict(seed=5, pop_size=10, iterations=10),
      {"literal_eq15": True}, 2575,
      "7921317e41559247238d46148b0e27045caefc9fa170d96b8e78e7bb1b59bf59"),
+    ("moga", "relabelled", dict(seed=7, pop_size=10, iterations=12), {}, 2050,
+     "1907763c0328ddfea834c1145ceca262b68d478c43371df086b310ed696ef725"),
 ]
 
 
@@ -78,7 +82,11 @@ def instances(toy4):
             # that the literal discounting rule changes the front (6 -> 12)
             "tight6": generate_instance(1, 6, 2, 0.5, min_modes=2, min_normal=4,
                                         min_span=3, max_span=3,
-                                        budget_slack=0.0)}
+                                        budget_slack=0.0),
+            # ids not in topological order, so the schedule walks and the
+            # descendant lists cannot lean on id order
+            "relabelled": reverse_real_ids(
+                generate_instance(6, 10, 3, 0.4, budget_slack=0.3))}
 
 
 @pytest.mark.parametrize("algo,name,params,kwargs,evaluations,digest", CASES)

@@ -67,6 +67,13 @@ class TestValidate:
         bad = replace(toy4, **changes)
         assert [v.field for v in validate_instance(bad)] == list(changes)
 
+    def test_more_payment_events_than_activities(self, toy4):
+        # every event is one activity's completion, so J is at most n
+        assert validate_instance(replace(toy4, payment_count=toy4.n)) == []
+        violations = validate_instance(replace(toy4, payment_count=toy4.n + 1))
+        assert [(v.field, v.rule) for v in violations] \
+            == [("payment_count", "J <= n")]
+
     def test_large_rate_below_overflow_accepted(self, toy4):
         # toy4's horizon H is 9 and 1e30 ** 9 is finite
         assert validate_instance(replace(toy4, interest_rate=1e30)) == []
@@ -160,6 +167,8 @@ class TestGenerate:
             generate_instance(1, 6, 2, 0.0)
         with pytest.raises(BadParams):
             generate_instance(1, 6, 0, 0.5)
+        with pytest.raises(BadParams, match="payment_count"):
+            generate_instance(1, 6, 2, 0.5, payment_count=7)
 
 
 class TestIo:

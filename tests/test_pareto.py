@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from crashplan.evaluate import Chromosome, ObjectiveVector
-from crashplan.pareto import (ParetoArchive, dominates, group_by_rank,
-                              nondominated_sort, pareto_filter)
+from crashplan.pareto import (DUPLICATE_TOL, ParetoArchive, _same_point,
+                              dominates, group_by_rank, nondominated_sort,
+                              pareto_filter)
 
 
 def vec(npv, time, prod):
@@ -194,3 +195,37 @@ class TestArchive:
             b.add(o)
         assert [m.objectives for m in a.front().members] \
             == [m.objectives for m in b.front().members]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_inline_tests_agree_with_dominates(self, seed):
+        def reference_add(members, obj, chrom):
+            for kept, contributors in members:
+                if _same_point(kept, obj):
+                    contributors[chrom] = None
+                    return False
+                if dominates(kept, obj):
+                    return False
+            members[:] = [m for m in members if not dominates(obj, m[0])]
+            members.append((obj, {chrom: None}))
+            return True
+
+        rng = np.random.default_rng(seed)
+        archive = ParetoArchive()
+        members = []
+        for _ in range(400):
+            # few distinct base points, nudged inside, at and past the tolerance
+            nudge = float(rng.choice([0.0, 0.3, -0.9, 1.0, 2.0])) * DUPLICATE_TOL
+            obj = vec(float(rng.integers(95, 99)) + nudge, rng.integers(3, 6),
+                      float(rng.integers(1, 5)) / 10 - nudge)
+            chrom = Chromosome((1, 2), (1, int(rng.integers(1, 4))), (0, 0))
+            assert archive.add(obj, chrom) == reference_add(members, obj, chrom)
+        assert archive._members == members
+
+    def test_nan_objective_raises(self):
+        archive = ParetoArchive()
+        with pytest.raises(ValueError, match="NaN"):
+            archive.add(vec(float("nan"), 1, 0.1))
+        archive.add(vec(1, 1, 1))
+        with pytest.raises(ValueError, match="NaN"):
+            archive.add(vec(1, 1, float("nan")))
+        assert len(archive) == 1
