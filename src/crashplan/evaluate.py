@@ -10,9 +10,10 @@ for operator compatibility).
 `evaluate` runs the chain decode -> payments -> NPV -> quality ->
 feasibility as `decode_schedule` plus one scoring pass over the
 instance's compiled tables (`ProjectInstance.compiled`): one loop over
-the payment events, then one over the real activities.  The stage
-functions `compute_payments`, `npv_cost`, `quality_stats`, `productivity`
-and `check_feasibility` are the reference path, used by tests,
+the real activities, then a closing step (`_settle`) that walks the
+payment events and reports; the oracle closes its points with that step.
+The stage functions `compute_payments`, `npv_cost`, `quality_stats`,
+`productivity` and `check_feasibility` are the reference path, used by tests,
 `budget_balance` and the CLI's `eval`; the scoring pass adds the same
 operands in the same order, so both paths agree bit for bit.  The
 payment-event rule is written once, for both.  `check_feasibility` trusts
@@ -280,24 +281,16 @@ def check_feasibility(inst: ProjectInstance, chrom: Chromosome,
 
 def _score(inst: ProjectInstance, chrom: Chromosome, start, finish,
            literal_eq15: bool) -> tuple[ObjectiveVector, FeasibilityReport]:
-    """Objectives and feasibility of a decoded chromosome in two loops.
+    """Objectives and feasibility of a decoded chromosome.
 
-    The first walks the payment events, the second the real activities for
-    the NPV cost, Q_min/Q_sum and resource use.  Every float sum takes the
-    operands of the reference path (compute_payments, npv_cost,
-    quality_stats, productivity, check_feasibility) in the same order, so
-    the results are bit-equal to it.
+    One loop over the real activities sums the NPV cost terms, Q_min/Q_sum
+    and resource use; `_settle` then walks the payment events and closes
+    the score.  Every float sum takes the operands of the reference path
+    (compute_payments, npv_cost, quality_stats, productivity,
+    check_feasibility) in the same order, so the results are bit-equal to it.
     """
     view = inst.compiled
     rate = view.rate
-    makespan = finish[-1]
-    paid = 0.0
-    for _, activity, t, amount, _ in _payment_events(
-            inst, finish, makespan, view.share, view.prepayment):
-        if literal_eq15:
-            t = start[activity - 1]
-        paid += amount / rate ** t
-
     genes = view.genes
     modes = chrom.modes
     durations = chrom.durations
@@ -313,6 +306,31 @@ def _score(inst: ProjectInstance, chrom: Chromosome, start, finish,
             q_min = q
         q_sum += q
         demand_rows.append(demands)
+    # resources: the column sums of the selected demand rows
+    resource_ok = all(map(le, map(sum, zip(*demand_rows)), view.capacity_left))
+    return _settle(inst, start, finish, cost, q_min, q_sum, resource_ok,
+                   literal_eq15)
+
+
+def _settle(inst: ProjectInstance, start, finish, cost: float, q_min: float,
+            q_sum: float, resource_ok: bool, literal_eq15: bool,
+            ) -> tuple[ObjectiveVector, FeasibilityReport]:
+    """The closing step of scoring, shared by `_score` and the oracle.
+
+    `cost` is the sum of the real activities' discounted cost terms in
+    ascending index order, and `q_min`/`q_sum` their quality minimum and
+    sum.  This walks the payment events, adds the overhead term, computes
+    the productivity and reports the three constraint groups.
+    """
+    view = inst.compiled
+    rate = view.rate
+    makespan = finish[-1]
+    paid = 0.0
+    for _, activity, t, amount, _ in _payment_events(
+            inst, finish, makespan, view.share, view.prepayment):
+        if literal_eq15:
+            t = start[activity - 1]
+        paid += amount / rate ** t
     cost += inst.overhead * makespan / rate ** makespan
     if cost == 0:
         raise ZeroCost("npv_cost is zero; productivity undefined")
@@ -320,10 +338,8 @@ def _score(inst: ProjectInstance, chrom: Chromosome, start, finish,
         raise NoRealActivities("instance has only dummy activities")
     alpha = inst.quality_blend
     prod = (alpha * q_min + (1 - alpha) * (q_sum / len(view.real))) / cost
-
-    # resources: the column sums of the selected demand rows
     report = FeasibilityReport(
-        all(map(le, map(sum, zip(*demand_rows)), view.capacity_left)),
+        resource_ok,
         makespan <= inst.deadline,
         cost <= inst.initial_capital + view.prepayment + paid + 1e-9)
     return ObjectiveVector(cost, makespan, prod), report

@@ -9,11 +9,11 @@ the pins in the same commit.
 """
 
 import hashlib
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
-from crashplan.instance import generate_instance
+from crashplan.instance import compute_time_windows, generate_instance
 from crashplan.moga import MogaParams, run_moga
 from crashplan.nsga2 import Nsga2Params, run_nsga2
 from crashplan.oracle import true_pareto_front
@@ -70,7 +70,38 @@ CASES = [
      "7921317e41559247238d46148b0e27045caefc9fa170d96b8e78e7bb1b59bf59"),
     ("moga", "relabelled", dict(seed=7, pop_size=10, iterations=12), {}, 2050,
      "1907763c0328ddfea834c1145ceca262b68d478c43371df086b310ed696ef725"),
+    ("oracle", "rev6", {}, {}, 4096,
+     "9e83b5cd696e4e7f99cb7a0d737752ea72dcc7d0471dd52180e821e156c3fd52"),
+    ("oracle", "cut6", {}, {}, 4096,
+     "61655c7770e472d59a707262aa2dd495d0da3603bbe012190b605f59a1e436d9"),
+    ("oracle", "crash6", {}, {}, 4096,
+     "4b5915bf9dd3ed0c286d38c0041c00d501e519c7916d9c8cb33a8daf31e70069"),
 ]
+
+
+def enumerable(seed, **kwargs):
+    """The criterion-1 family: n = 6, two modes, duration span exactly 3."""
+    return generate_instance(seed, 6, 2, 0.5, min_modes=2, min_normal=4,
+                             min_span=3, max_span=3, budget_slack=2.0,
+                             **kwargs)
+
+
+def below_first_modes(inst):
+    """Each capacity one unit below the all-first-mode demand."""
+    need = [0] * len(inst.resource_capacity)
+    for act in inst.activities:
+        demands = dict(act.modes[0].demands)
+        for r, (name, _) in enumerate(inst.resource_capacity):
+            need[r] += demands.get(name, 0)
+    return replace(inst, resource_capacity=tuple(
+        (name, units - 1)
+        for (name, _), units in zip(inst.resource_capacity, need)))
+
+
+def crashed_deadline(inst, slack):
+    """The deadline `slack` periods above the fully crashed makespan."""
+    crashed = compute_time_windows(inst).earliest_finish[inst.n]
+    return replace(inst, deadline=crashed + slack)
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +117,13 @@ def instances(toy4):
             # ids not in topological order, so the schedule walks and the
             # descendant lists cannot lean on id order
             "relabelled": reverse_real_ids(
-                generate_instance(6, 10, 3, 0.4, budget_slack=0.3))}
+                generate_instance(6, 10, 3, 0.4, budget_slack=0.3)),
+            # oracle cases for its pruned walk: ids out of topological
+            # order, capacities that cut deep into the tree, and a deadline
+            # two periods above the fully crashed makespan
+            "rev6": reverse_real_ids(enumerable(2)),
+            "cut6": below_first_modes(enumerable(5, n_resources=2)),
+            "crash6": crashed_deadline(enumerable(10), 2)}
 
 
 @pytest.mark.parametrize("algo,name,params,kwargs,evaluations,digest", CASES)

@@ -3,12 +3,12 @@ from dataclasses import replace
 
 import pytest
 
-from crashplan.errors import NoFeasible, SpaceTooLarge
+from crashplan.errors import NoFeasible, SpaceTooLarge, ZeroCost
 from crashplan.evaluate import Chromosome, evaluate
 from crashplan.instance import ActivityMode, generate_instance, topological_order
 from crashplan.oracle import search_space_size, true_pareto_front
 
-from conftest import dummy, make_instance, real
+from conftest import dummy, make_instance, real, replace_mode
 
 
 def second_pass_front(inst):
@@ -84,3 +84,45 @@ class TestTrueParetoFront:
             obj, rep = evaluate(toy4, m.chromosome)
             assert rep.valid_number == 3
             assert obj == m.objectives
+
+
+class TestPrunedWalk:
+    def test_scored_counts_points_within_both_bounds(self, toy4):
+        report = true_pareto_front(toy4)
+        assert report.evaluations == 15
+        assert report.params["feasible"] <= report.params["scored"] <= 15
+        # A3 needs 2 of r1, and A2 2 in mode 1 (3 durations) or 3 in mode 2;
+        # a capacity of 4 leaves A2's mode 1 with A3's 3 durations
+        four = (("r1", 4),)
+        tight = true_pareto_front(replace(toy4, resource_capacity=four))
+        assert tight.evaluations == 15
+        assert tight.params["scored"] == 3 * 3
+        # A2 and A3 run side by side, so a deadline of 4 leaves durations
+        # up to 4 for both: A2 has 3 + 2 such genes and A3 two
+        late = true_pareto_front(replace(toy4, deadline=4))
+        assert late.params["scored"] == (3 + 2) * 2
+
+    def test_zero_cost_points_over_capacity_are_never_scored(self, toy4):
+        free = replace_mode(toy4, 2, 2, normal_cost=0.0, cost_slope=0.0)
+        free = replace_mode(free, 3, 1, normal_cost=0.0, cost_slope=0.0)
+        free = replace(free, overhead=0.0)
+        with pytest.raises(ZeroCost):
+            true_pareto_front(free)
+        # A2's free mode needs 3 of r1 and A3 needs 2: over a capacity of 4
+        report = true_pareto_front(
+            replace(free, resource_capacity=(("r1", 4),)))
+        assert all(m.chromosome.modes[1] == 1 for m in report.front.members)
+
+    def test_long_chain_is_walked_without_recursion(self):
+        # one gene per activity: the space has one point however long the
+        # chain, so n is not bounded by max_points
+        n = 3000
+        mode = ActivityMode(2, 2, 10.0, 1.0, 60.0, (("r1", 1),))
+        inst = make_instance(
+            [dummy(1, {2})] + [real(i, {i + 1}, [mode]) for i in range(2, n)]
+            + [dummy(n, ())],
+            capacity=(("r1", n),), deadline=2 * n, price=10.0 * n)
+        report = true_pareto_front(inst)
+        assert report.evaluations == 1
+        assert len(report.front) == 1
+        assert report.front.members[0].objectives.makespan == 2 * (n - 2)
