@@ -14,7 +14,9 @@ the real activities, then a closing step (`_settle`) that walks the
 payment events and reports; the oracle closes its points with that step.
 The stage functions `compute_payments`, `npv_cost`, `quality_stats`,
 `productivity` and `check_feasibility` are the reference path, used by tests,
-`budget_balance` and the CLI's `eval`; the scoring pass adds the same
+`budget_balance` and the CLI's `eval`.  It reads the activity modes
+(`inst.activities[k].modes[m - 1]`) and sums demands by resource name, so
+it shares no table with the scoring pass; the scoring pass adds the same
 operands in the same order, so both paths agree bit for bit.  The
 payment-event rule is written once, for both.  `check_feasibility` trusts
 the decode walk for precedence and duration windows and checks only the
@@ -22,7 +24,8 @@ deadline of the time group.
 
 `evaluate_variant` scores a chromosome that differs from an already
 decoded one in a single gene: it re-times only the changed activity and
-its descendants.  The hill climb scores its neighbourhood this way.
+its descendants (`ProjectInstance.descendants`, built for the hill climb
+only).  The hill climb scores its neighbourhood this way.
 """
 
 from __future__ import annotations
@@ -137,9 +140,9 @@ def decode_schedule(inst: ProjectInstance, chrom: Chromosome) -> DecodedSchedule
                     f"activity {i}: duration {d} outside [{lo}, {hi}]")
         s = 0
         for p in preds[k]:
-            f = finish[p - 1]
+            f = finish[p]
             if f is None:
-                raise EncodingError(f"order violates precedence {p} -> {i}")
+                raise EncodingError(f"order violates precedence {p + 1} -> {i}")
             if f > s:
                 s = f
         start[k] = s
@@ -198,30 +201,27 @@ def npv_cost(inst: ProjectInstance, chrom: Chromosome,
              sched: DecodedSchedule) -> float:
     """Net present value of direct, crash-premium, and overhead costs."""
     rate = 1.0 + inst.interest_rate
-    table = inst.cost_table
-    dummy = inst.dummy_flags
     total = 0.0
-    for k in range(inst.n):
-        if dummy[k]:
+    for act, m, d, f in zip(inst.activities, chrom.modes, chrom.durations,
+                            sched.finish):
+        if act.is_dummy:
             continue
-        normal_cost, slope, normal_duration = table[k][chrom.modes[k] - 1]
-        cost = normal_cost + slope * (normal_duration - chrom.durations[k])
-        total += cost / rate ** sched.finish[k]
+        mode = act.modes[m - 1]
+        cost = mode.normal_cost + mode.cost_slope * (mode.normal_duration - d)
+        total += cost / rate ** f
     total += inst.overhead * sched.makespan / rate ** sched.makespan
     return total
 
 
 def quality_stats(inst: ProjectInstance, chrom: Chromosome) -> tuple[float, float]:
     """(Q_min, Q_avg) over the selected modes of non-dummy activities."""
-    table = inst.quality_table
-    dummy = inst.dummy_flags
     q_min = float("inf")
     q_sum = 0.0
     count = 0
-    for k in range(inst.n):
-        if dummy[k]:
+    for act, m in zip(inst.activities, chrom.modes):
+        if act.is_dummy:
             continue
-        q = table[k][chrom.modes[k] - 1]
+        q = act.modes[m - 1].quality
         if q < q_min:
             q_min = q
         q_sum += q
@@ -265,13 +265,11 @@ def check_feasibility(inst: ProjectInstance, chrom: Chromosome,
     caller has computed; the budget group holds when it is covered by the
     initial capital, the prepayment and the discounted payments of `plan`.
     """
-    demands = inst.demand_table
-    used = [0] * len(inst.capacities)
-    for k in range(inst.n):
-        row = demands[k][chrom.modes[k] - 1]
-        for r in range(len(used)):
-            used[r] += row[r]
-    resource_ok = all(u <= cap for u, cap in zip(used, inst.capacities))
+    used: dict[str, int] = {}
+    for act, m in zip(inst.activities, chrom.modes):
+        for r, units in act.modes[m - 1].demands:
+            used[r] = used.get(r, 0) + units
+    resource_ok = all(used.get(r, 0) <= cap for r, cap in inst.resource_capacity)
     time_ok = sched.makespan <= inst.deadline
     available = (inst.initial_capital + plan.prepayment
                  + _discounted_payments(inst, sched, plan, literal_eq15))
@@ -367,12 +365,11 @@ def evaluate_variant(inst: ProjectInstance, base: DecodedSchedule,
     start, finish = base.start, base.finish
     durations = variant.durations
     if start[k] + durations[k] != finish[k]:
-        view = inst.compiled
-        preds = view.predecessors
+        preds = inst.predecessors
         start = list(start)
         finish = list(finish)
         finish[k] = start[k] + durations[k]
-        for h in view.descendants[k]:
+        for h in inst.descendants[k]:
             s = 0
             for p in preds[h]:
                 f = finish[p]

@@ -48,9 +48,10 @@ class Activity:
 
 
 class CompiledInstance(NamedTuple):
-    """Flat tables for the scoring pass of `evaluate` and the hill climb's
-    re-timing of one-gene variants; all activity references are indices
-    (id - 1).  Built once per instance by ProjectInstance.compiled."""
+    """Flat tables for the scoring pass of `evaluate` and the oracle's walk;
+    all activity references are indices (id - 1).  Built once per instance
+    by ProjectInstance.compiled from the activity modes, which the
+    reference path of `evaluate` reads directly."""
 
     #: the non-dummy activities, ascending
     real: tuple[int, ...]
@@ -66,10 +67,6 @@ class CompiledInstance(NamedTuple):
     #: each capacity less the dummies' demand: a dummy has one mode, so its
     #: demand is fixed and the scoring pass sums the real activities only
     capacity_left: tuple[int, ...]
-    predecessors: tuple[tuple[int, ...], ...]
-    #: everything reachable from each activity, in canonical topological
-    #: order, so one forward pass over it re-times a change to that activity
-    descendants: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -93,16 +90,13 @@ class ProjectInstance:
         return len(self.activities)
 
     @cached_property
-    def capacity_map(self) -> dict[str, int]:
-        return dict(self.resource_capacity)
-
-    @cached_property
     def predecessors(self) -> tuple[tuple[int, ...], ...]:
-        """Predecessor ids per activity, indexed by id - 1."""
+        """Predecessor indices (id - 1), ascending, per activity; indexed
+        by id - 1."""
         preds: list[list[int]] = [[] for _ in self.activities]
         for act in self.activities:
             for h in act.successors:
-                preds[h - 1].append(act.id)
+                preds[h - 1].append(act.id - 1)
         return tuple(tuple(sorted(p)) for p in preds)
 
     @cached_property
@@ -123,66 +117,47 @@ class ProjectInstance:
                      for a in self.activities)
 
     @cached_property
-    def cost_table(self) -> tuple[tuple[tuple[float, float, int], ...], ...]:
-        """(normal_cost, cost_slope, normal_duration) per activity mode."""
-        return tuple(tuple((m.normal_cost, m.cost_slope, m.normal_duration)
-                           for m in a.modes) for a in self.activities)
-
-    @cached_property
-    def quality_table(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(m.quality for m in a.modes) for a in self.activities)
-
-    @cached_property
-    def capacities(self) -> tuple[int, ...]:
-        return tuple(c for _, c in self.resource_capacity)
-
-    @cached_property
-    def demand_table(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Demands aligned with resource_capacity order, zero-filled."""
-        index = {r: k for k, (r, _) in enumerate(self.resource_capacity)}
-        table = []
-        for act in self.activities:
-            rows = []
-            for m in act.modes:
-                row = [0] * len(index)
-                for r, units in m.demands:
-                    row[index[r]] = units
-                rows.append(tuple(row))
-            table.append(tuple(rows))
-        return tuple(table)
-
-    @cached_property
     def dummy_flags(self) -> tuple[bool, ...]:
         return tuple(a.is_dummy for a in self.activities)
 
     @cached_property
     def compiled(self) -> CompiledInstance:
         """The evaluation tables, built on first use (the first evaluation)."""
-        topo_pos = {i: p for p, i in enumerate(topological_order(self))}
-        genes = tuple(
-            tuple((nc, slope, nd, q, demands) for (nc, slope, nd), q, demands
-                  in zip(costs, qualities, demand_rows))
-            for costs, qualities, demand_rows
-            in zip(self.cost_table, self.quality_table, self.demand_table))
-        capacity_left = list(self.capacities)
-        for k, is_dummy in enumerate(self.dummy_flags):
-            if is_dummy:
-                for r, units in enumerate(self.demand_table[k][0]):
-                    capacity_left[r] -= units
+        index = {r: x for x, (r, _) in enumerate(self.resource_capacity)}
+        capacity_left = [c for _, c in self.resource_capacity]
+        genes = []
+        for act in self.activities:
+            rows = []
+            for m in act.modes:
+                demands = [0] * len(index)
+                for r, units in m.demands:
+                    demands[index[r]] += units
+                rows.append((m.normal_cost, m.cost_slope, m.normal_duration,
+                             m.quality, tuple(demands)))
+            genes.append(tuple(rows))
+            if act.is_dummy:
+                for r, units in act.modes[0].demands:
+                    capacity_left[index[r]] -= units
         return CompiledInstance(
             real=tuple(k for k, is_dummy in enumerate(self.dummy_flags)
                        if not is_dummy),
-            genes=genes,
+            genes=tuple(genes),
             rate=1.0 + self.interest_rate,
             share=self.compensation_ratio - self.prepay_ratio,
             prepayment=self.prepay_ratio * self.price,
-            capacity_left=tuple(capacity_left),
-            predecessors=tuple(tuple(p - 1 for p in preds)
-                               for preds in self.predecessors),
-            descendants=tuple(
-                tuple(i - 1 for i in sorted(_reachable_from(self, a.id) - {a.id},
-                                            key=topo_pos.__getitem__))
-                for a in self.activities))
+            capacity_left=tuple(capacity_left))
+
+    @cached_property
+    def descendants(self) -> tuple[tuple[int, ...], ...]:
+        """Everything reachable from each activity, as indices in canonical
+        topological order, so one forward pass over it re-times a change to
+        that activity.  O(n^2) entries: built for the hill climb's
+        `evaluate_variant` only."""
+        topo_pos = {i: p for p, i in enumerate(topological_order(self))}
+        return tuple(
+            tuple(i - 1 for i in sorted(_reachable_from(self, a.id) - {a.id},
+                                        key=topo_pos.__getitem__))
+            for a in self.activities)
 
     @cached_property
     def gene_options(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -271,7 +246,7 @@ def validate_instance(inst: ProjectInstance) -> list[Violation]:
     if n < 2 or not inst.activities[0].is_dummy or not inst.activities[-1].is_dummy:
         v.append(Violation("activities", "activity 1 and activity n must be dummies"))
 
-    cap = inst.capacity_map
+    resources = {r for r, _ in inst.resource_capacity}
     for act in inst.activities:
         tag = f"activities[{act.id - 1}]"
         if not act.modes:
@@ -291,7 +266,7 @@ def validate_instance(inst: ProjectInstance) -> list[Violation]:
             for r, units in m.demands:
                 if units < 0:
                     v.append(Violation(f"{mtag}.demands[{r}]", "demand >= 0"))
-                if r not in cap:
+                if r not in resources:
                     v.append(Violation(f"{mtag}.demands[{r}]", "unknown resource id"))
         if not math.isfinite(act.earned_value):
             v.append(Violation(f"{tag}.earned_value", "V_i finite"))
@@ -320,8 +295,15 @@ def validate_instance(inst: ProjectInstance) -> list[Violation]:
         if unreachable:
             v.append(Violation("activities", "every non-start activity reachable from 1",
                                f"unreachable: {unreachable}"))
-        dead_end = [a.id for a in inst.activities
-                    if a.id != n and n not in _reachable_from(inst, a.id)]
+        # activity n reaches exactly its ancestors: one backward search
+        ancestors = {n - 1}
+        stack = [n - 1]
+        while stack:
+            for p in inst.predecessors[stack.pop()]:
+                if p not in ancestors:
+                    ancestors.add(p)
+                    stack.append(p)
+        dead_end = [a.id for a in inst.activities if a.id - 1 not in ancestors]
         if dead_end:
             v.append(Violation("activities", "activity n reachable from every activity",
                                f"dead ends: {dead_end}"))
@@ -373,7 +355,7 @@ def compute_time_windows(inst: ProjectInstance) -> TimeWindows:
     crash = inst.crash_min
     ef = [0] * inst.n
     for i in order:
-        start = max((ef[p - 1] for p in inst.predecessors[i - 1]), default=0)
+        start = max((ef[p] for p in inst.predecessors[i - 1]), default=0)
         ef[i - 1] = start + crash[i - 1]
     if ef[inst.n - 1] > inst.deadline:
         raise InfeasibleInstance(

@@ -103,7 +103,7 @@ def _walk(inst: ProjectInstance, order: tuple[int, ...]):
     n = inst.n
     view = inst.compiled
     rate = view.rate
-    preds = view.predecessors
+    preds = inst.predecessors
     deadline = inst.deadline
     dummy = inst.dummy_flags
 

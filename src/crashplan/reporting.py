@@ -11,10 +11,11 @@ Front CSV layout (documented column order):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import EncodingError, ParseError
 from .evaluate import ObjectiveVector, format_solution, parse_solution
 from .pareto import Front, FrontMember
 
@@ -79,7 +80,13 @@ def front_from_csv(path: str | Path) -> tuple[Front, dict]:
             obj = ObjectiveVector(float(npv), int(makespan), float(prod))
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad number ({exc})") from exc
-        chroms = (parse_solution(sol),) if sol else ()
+        if not (math.isfinite(obj.npv_cost) and math.isfinite(obj.productivity)):
+            raise ParseError(f"line {lineno}: npv_cost and productivity "
+                             "must be finite")
+        try:
+            chroms = (parse_solution(sol),) if sol else ()
+        except EncodingError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from exc
         members.append(FrontMember(obj, chroms))
     if not header_seen:
         raise ParseError("missing column header row")

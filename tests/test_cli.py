@@ -340,6 +340,27 @@ class TestBadArgumentValues:
             "metrics", "--front-a", str(front), "--front-b", str(front),
             "--labels", labels, "--out", str(tmp_path / "r.json")))
 
+    @pytest.mark.parametrize("row,message", [
+        ("1|1|0:2|1|2:3|1|3:4|1|0,nan,5,0.1,3", "must be finite"),
+        ("1|1|0:2|1|2:3|1|3:4|1|0,100,5,inf,3", "must be finite"),
+        ("1|x|0:2|1|2:3|1|3:4|1|0,100,5,0.1,3", "bad solution string"),
+    ], ids=["npv-nan", "productivity-inf", "bad-solution"])
+    def test_metrics_front_rows(self, tmp_path, row, message):
+        good = tmp_path / "good.csv"
+        good.write_text("solution,npv_cost,makespan,productivity,valid_number\n"
+                        "1|1|0:2|1|2:3|1|3:4|1|0,100,5,0.1,3\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# algorithm=x\n"
+                       "solution,npv_cost,makespan,productivity,valid_number\n"
+                       f"{row}\n")
+        out = tmp_path / "r.json"
+        result = run_cli("metrics", "--front-a", str(good), "--front-b",
+                         str(bad), "--out", str(out))
+        self.assert_usage_error(result)
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and "line 3" in lines[0] and message in lines[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("param,values,bad", [
         ("deadline", "10,x", "'x'"),
         ("deadline", "4.5", "'4.5'"),

@@ -312,8 +312,8 @@ class TestEvaluate:
         assert evaluate(toy4, TOY4_BASELINE) == evaluate(toy4, TOY4_BASELINE)
 
     def test_cyclic_instance_fails_in_the_decode_walk(self, toy4):
-        # the compiled tables need a topological order, but the walk that
-        # runs before them already rejects every order of a cyclic graph
+        # a cyclic graph has no topological order, and the decode walk
+        # rejects every order string of it before anything is scored
         cyclic = replace_activity(toy4, 2, successors=frozenset({3, 4}))
         cyclic = replace_activity(cyclic, 3, successors=frozenset({2, 4}))
         with pytest.raises(BadParams):

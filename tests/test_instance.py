@@ -95,6 +95,21 @@ class TestValidate:
         bad = replace_activity(toy4, 2, successors=frozenset({9}))
         assert any("successor" in v.rule for v in validate_instance(bad))
 
+    def test_activities_unreachable_from_start(self, chain4):
+        # 1 -> 4 directly: the chain 2 -> 3 -> 4 hangs off nothing
+        bad = replace_activity(chain4, 1, successors=frozenset({4}))
+        assert [(v.field, v.rule, v.detail) for v in validate_instance(bad)] == [
+            ("activities", "every non-start activity reachable from 1",
+             "unreachable: [2, 3]")]
+
+    def test_activities_that_never_reach_the_end(self, chain4):
+        # 1 -> {2, 4} and 3 -> nothing: 2 and 3 never reach activity 4
+        bad = replace_activity(chain4, 1, successors=frozenset({2, 4}))
+        bad = replace_activity(bad, 3, successors=frozenset())
+        assert [(v.field, v.rule, v.detail) for v in validate_instance(bad)] == [
+            ("activities", "activity n reachable from every activity",
+             "dead ends: [2, 3]")]
+
 
 class TestTimeWindows:
     def test_two_activity_chain(self, chain4):

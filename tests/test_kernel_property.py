@@ -9,7 +9,11 @@ are compared by their hex form, so equal means bit for bit.
 The instances are those of test_decode_property.py, reshaped towards the
 edges of the model: ids that are not in topological order, zero-width and
 zero-duration modes, a single mode, J = 1 and J = n, gamma just below
-theta, and initial capitals around the budget need.
+theta, and initial capitals around the budget need.  They hold one to
+three resources, listed in resource_capacity in name order or not and
+sometimes with one resource left out of one mode's demands: the scoring
+pass reads demand rows aligned to resource_capacity, and the reference
+sums demands by resource name.
 """
 
 import math
@@ -32,8 +36,9 @@ WINDOWS = ("as generated", "zero-width", "zero-duration", "from zero")
 
 
 @lru_cache(maxsize=None)
-def generated(seed, n, max_modes, density):
-    return generate_instance(seed, n, max_modes, density)
+def generated(seed, n, max_modes, density, n_resources):
+    return generate_instance(seed, n, max_modes, density,
+                             n_resources=n_resources)
 
 
 def reshape_windows(inst, act_id, how):
@@ -56,13 +61,24 @@ def cases(draw):
     chromosome on it."""
     inst = generated(draw(st.integers(0, 30)), draw(st.integers(3, 9)),
                      draw(st.integers(1, 3)),
-                     draw(st.sampled_from([0.2, 0.5, 0.9])))
+                     draw(st.sampled_from([0.2, 0.5, 0.9])),
+                     draw(st.integers(1, 3)))
     n = inst.n
     if draw(st.booleans()):
         reals = draw(st.permutations(range(2, n)))
         inst = relabel(inst, (1, *reals, n))
     for act_id in range(2, n):
         inst = reshape_windows(inst, act_id, draw(st.sampled_from(WINDOWS)))
+    if draw(st.booleans()):
+        inst = replace(inst, resource_capacity=tuple(
+            draw(st.permutations(inst.resource_capacity))))
+    if draw(st.booleans()):
+        act_id = draw(st.integers(2, n - 1))
+        m_idx = draw(st.integers(1, len(inst.activities[act_id - 1].modes)))
+        demands = inst.activities[act_id - 1].modes[m_idx - 1].demands
+        dropped = draw(st.integers(0, len(demands) - 1))
+        inst = replace_mode(inst, act_id, m_idx, demands=tuple(
+            d for j, d in enumerate(demands) if j != dropped))
     changes = {"initial_capital": inst.initial_capital
                * draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))}
     payments = draw(st.sampled_from(["as generated", "one", "n"]))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -122,7 +123,16 @@ class TestPrunedWalk:
             [dummy(1, {2})] + [real(i, {i + 1}, [mode]) for i in range(2, n)]
             + [dummy(n, ())],
             capacity=(("r1", n),), deadline=2 * n, price=10.0 * n)
-        report = true_pareto_front(inst)
+        tracemalloc.start()
+        try:
+            report = true_pareto_front(inst)
+            evaluate(inst, report.front.members[0].chromosome)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert report.evaluations == 1
         assert len(report.front) == 1
         assert report.front.members[0].objectives.makespan == 2 * (n - 2)
+        # the evaluation tables stay linear in n: a table of every
+        # activity's descendants would hold about 180 MB here
+        assert peak < 50 * 2**20
