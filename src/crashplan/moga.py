@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BadParams, InitTimeout
 from .evaluate import (Chromosome, DecodedSchedule, ObjectiveVector,
                        decode_schedule, evaluate, evaluate_variant)
-from .instance import ProjectInstance, instance_hash
+from .instance import ProjectInstance, compute_time_windows, instance_hash
 from .pareto import (ParetoArchive, group_by_rank, nondominated_sort,
                      pareto_filter)
 from .reporting import FrontReport
@@ -30,6 +30,8 @@ DEFAULT_MUTATION = 0.6
 DEFAULT_CROSSOVER = 0.8
 DEFAULT_ITERATIONS = 2000
 DEFAULT_POP_SIZE = 100
+#: random draws allowed per population member before InitTimeout
+ATTEMPTS_FACTOR = 10_000
 
 
 @dataclass(frozen=True)
@@ -275,7 +277,7 @@ def draw_feasible(inst: ProjectInstance, rng: np.random.Generator, evaluator,
 
 
 def init_population(inst: ProjectInstance, params: SolverParams,
-                    *, attempts_factor: int = 10_000,
+                    *, attempts_factor: int = ATTEMPTS_FACTOR,
                     rng: np.random.Generator | None = None,
                     evaluator=None) -> list[Chromosome]:
     """Rejection-sample pop_size distinct chromosomes with valid_number 3."""
@@ -350,8 +352,8 @@ def breed(inst: ProjectInstance, count: int, pick_pair, mutation_rate: float,
 
 def evolve(inst: ProjectInstance, params: SolverParams, algorithm: str,
            next_population, *, use_archive: bool,
-           max_evaluations: int | None, attempts_factor: int,
-           literal_eq15: bool, on_generation) -> FrontReport:
+           max_evaluations: int | None, literal_eq15: bool,
+           on_generation) -> FrontReport:
     """Run the generation loop shared by both solvers and report the front.
 
     Generation 0 is init_population on make_rng(seed, 0); generation g
@@ -362,12 +364,13 @@ def evolve(inst: ProjectInstance, params: SolverParams, algorithm: str,
     it by up to one generation (initialisation alone may exceed it).
     """
     t0 = time.perf_counter()
+    compute_time_windows(inst)  # InfeasibleInstance before any draw
     archive = ParetoArchive()
     evaluator = Evaluator(inst, archive, literal_eq15)
-    attempts = attempts_factor * params.pop_size
+    attempts = ATTEMPTS_FACTOR * params.pop_size
 
-    chroms = init_population(inst, params, attempts_factor=attempts_factor,
-                             rng=make_rng(params.seed, 0), evaluator=evaluator)
+    chroms = init_population(inst, params, rng=make_rng(params.seed, 0),
+                             evaluator=evaluator)
     pop = [(c, evaluator(c)[0]) for c in chroms]
 
     for gen in range(1, params.iterations + 1):
@@ -407,7 +410,6 @@ def _pick_by_rank(ranks: list[int], count: int,
 def run_moga(inst: ProjectInstance, params: MogaParams,
              *, use_archive: bool = True,
              max_evaluations: int | None = None,
-             attempts_factor: int = 10_000,
              literal_eq15: bool = False,
              on_generation=None) -> FrontReport:
     """Run the genetic algorithm; the front is the external archive of every
@@ -457,5 +459,4 @@ def run_moga(inst: ProjectInstance, params: MogaParams,
 
     return evolve(inst, params, "moga", next_population,
                   use_archive=use_archive, max_evaluations=max_evaluations,
-                  attempts_factor=attempts_factor, literal_eq15=literal_eq15,
-                  on_generation=on_generation)
+                  literal_eq15=literal_eq15, on_generation=on_generation)

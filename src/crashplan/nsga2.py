@@ -72,7 +72,6 @@ def _survival(pool: list[tuple[Chromosome, ObjectiveVector]],
 def run_nsga2(inst: ProjectInstance, params: Nsga2Params,
               *, use_archive: bool = False,
               max_evaluations: int | None = None,
-              attempts_factor: int = 10_000,
               literal_eq15: bool = False,
               on_generation=None) -> FrontReport:
     """Run NSGA-II; by default reports the final population's rank-0 set
@@ -101,5 +100,4 @@ def run_nsga2(inst: ProjectInstance, params: Nsga2Params,
 
     return evolve(inst, params, "nsga2", next_population,
                   use_archive=use_archive, max_evaluations=max_evaluations,
-                  attempts_factor=attempts_factor, literal_eq15=literal_eq15,
-                  on_generation=on_generation)
+                  literal_eq15=literal_eq15, on_generation=on_generation)

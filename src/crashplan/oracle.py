@@ -23,7 +23,7 @@ skips the rest of the mode's genes: they share its demand and finish no
 earlier.
 
 Every skipped point is resource- or time-infeasible and would never enter
-the archive, so the front, its contributors and their order are those of
+the archive, so the front and each point's first chromosome are those of
 scoring every point.  Along the prefix of activities whose predecessors
 all have smaller ids the walk also carries start/finish times, the NPV
 cost sum and Q_min/Q_sum; a leaf re-times the activities after that prefix

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .evaluate import Chromosome, ObjectiveVector
 
@@ -75,18 +76,17 @@ def _same_point(a: ObjectiveVector, b: ObjectiveVector, tol: float = DUPLICATE_T
             and abs(a.productivity - b.productivity) <= tol)
 
 
-@dataclass(frozen=True)
-class FrontMember:
-    """One nondominated point; contributors are the distinct chromosomes
-    that evaluated to this objective vector, each recorded once in
-    first-seen order (the first one is canonical)."""
+class FrontMember(NamedTuple):
+    """One nondominated point and the first chromosome that reached it."""
 
     objectives: ObjectiveVector
-    contributors: tuple[Chromosome, ...] = ()
+    chromosome: Chromosome | None = None
 
     @property
-    def chromosome(self) -> Chromosome | None:
-        return self.contributors[0] if self.contributors else None
+    def contributors(self) -> tuple[Chromosome, ...]:
+        """Read-only view kept for callers that count contributors: the
+        one chromosome, or () when there is none."""
+        return () if self.chromosome is None else (self.chromosome,)
 
 
 @dataclass(frozen=True)
@@ -113,40 +113,27 @@ def _canonical_key(m: FrontMember) -> tuple:
 def pareto_filter(pop: list[tuple[ObjectiveVector, Chromosome | None]]) -> Front:
     """Nondominated subset with near-equal objective vectors collapsed.
 
-    The first occurrence of a duplicated vector is kept; every distinct
-    chromosome that produced it is recorded once as a contributor.
+    The first occurrence of a duplicated vector is kept, with its chromosome.
     """
-    objs = [obj for obj, _ in pop]
-    ranks = nondominated_sort(objs)
-    members: list[ObjectiveVector] = []
-    contributors: list[dict[Chromosome, None]] = []  # insertion-ordered sets
+    ranks = nondominated_sort([obj for obj, _ in pop])
+    members: list[FrontMember] = []
     for (obj, chrom), rank in zip(pop, ranks):
-        if rank != 0:
-            continue
-        for k, kept in enumerate(members):
-            if _same_point(kept, obj):
-                if chrom is not None:
-                    contributors[k][chrom] = None
-                break
-        else:
-            members.append(obj)
-            contributors.append({} if chrom is None else {chrom: None})
-    packed = [FrontMember(obj, tuple(chroms))
-              for obj, chroms in zip(members, contributors)]
-    packed.sort(key=_canonical_key)
-    return Front(tuple(packed))
+        if rank == 0 and not any(_same_point(m.objectives, obj)
+                                 for m in members):
+            members.append(FrontMember(obj, chrom))
+    members.sort(key=_canonical_key)
+    return Front(tuple(members))
 
 
 @dataclass
 class ParetoArchive:
     """Incrementally maintained nondominated archive of feasible evaluations.
 
-    Each member keeps its contributors in an insertion-ordered set (a dict
-    with None values), so a repeated chromosome is recorded once.
+    Each point keeps the first chromosome that reached it; a later
+    chromosome reaching the same point is not recorded.
     """
 
-    _members: list[tuple[ObjectiveVector, dict[Chromosome, None]]] = field(
-        default_factory=list)
+    _members: list[FrontMember] = field(default_factory=list)
 
     def add(self, obj: ObjectiveVector, chrom: Chromosome | None = None) -> bool:
         """Insert a point; returns True when it enters the archive.
@@ -158,12 +145,10 @@ class ParetoArchive:
         if math.isnan(cost) or math.isnan(prod):
             raise ValueError("NaN objective value")
         tol = DUPLICATE_TOL
-        for kept, contributors in self._members:
+        for kept, _ in self._members:
             k_cost, k_time, k_prod = kept
             if (abs(k_cost - cost) <= tol and k_time == time
                     and abs(k_prod - prod) <= tol):
-                if chrom is not None:
-                    contributors[chrom] = None
                 return False
             if (k_cost <= cost and k_time <= time and k_prod >= prod
                     and (k_cost < cost or k_time < time or k_prod > prod)):
@@ -174,14 +159,12 @@ class ParetoArchive:
             if not (cost <= k_cost and time <= k_time and prod >= k_prod
                     and (cost < k_cost or time < k_time or prod > k_prod)):
                 survivors.append(member)
-        survivors.append((obj, {} if chrom is None else {chrom: None}))
+        survivors.append(FrontMember(obj, chrom))
         self._members = survivors
         return True
 
     def front(self) -> Front:
-        members = (FrontMember(obj, tuple(contributors))
-                   for obj, contributors in self._members)
-        return Front(tuple(sorted(members, key=_canonical_key)))
+        return Front(tuple(sorted(self._members, key=_canonical_key)))
 
     def __len__(self) -> int:
         return len(self._members)

@@ -75,7 +75,7 @@ def front_from_csv(path: str | Path) -> tuple[Front, dict]:
         parts = line.split(",")
         if len(parts) != 5:
             raise ParseError(f"line {lineno}: expected 5 columns, got {len(parts)}")
-        sol, npv, makespan, prod, _valid = parts
+        sol, npv, makespan, prod, valid = parts
         try:
             obj = ObjectiveVector(float(npv), int(makespan), float(prod))
         except ValueError as exc:
@@ -83,11 +83,16 @@ def front_from_csv(path: str | Path) -> tuple[Front, dict]:
         if not (math.isfinite(obj.npv_cost) and math.isfinite(obj.productivity)):
             raise ParseError(f"line {lineno}: npv_cost and productivity "
                              "must be finite")
+        if obj.makespan < 0:
+            raise ParseError(f"line {lineno}: makespan must be >= 0")
+        if valid != "3":
+            raise ParseError(f"line {lineno}: valid_number must be 3, "
+                             f"got {valid!r}")
         try:
-            chroms = (parse_solution(sol),) if sol else ()
+            chrom = parse_solution(sol) if sol else None
         except EncodingError as exc:
             raise ParseError(f"line {lineno}: {exc}") from exc
-        members.append(FrontMember(obj, chroms))
+        members.append(FrontMember(obj, chrom))
     if not header_seen:
         raise ParseError("missing column header row")
     return Front(tuple(members)), meta

@@ -243,6 +243,26 @@ class TestZeroCost:
         assert "Traceback" not in result.stderr
 
 
+class TestInfeasibleInstance:
+    """A deadline below the fully crashed makespan is a domain error (exit
+    1) raised before the solver draws any chromosome."""
+
+    @pytest.mark.parametrize("algo", ["moga", "nsga2"])
+    def test_exit_one_without_traceback(self, toy4_path, tmp_path, algo):
+        data = json.loads(toy4_path.read_text())
+        data["deadline"] = 2
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "front.csv"
+        result = run_cli("solve", "--algo", algo, "--seed", "1",
+                         "--instance", str(path), "--out", str(out))
+        assert result.returncode == 1, result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "exceeds deadline 2" in lines[0]
+        assert not out.exists()
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert run_cli("frobnicate").returncode == 2
@@ -344,7 +364,10 @@ class TestBadArgumentValues:
         ("1|1|0:2|1|2:3|1|3:4|1|0,nan,5,0.1,3", "must be finite"),
         ("1|1|0:2|1|2:3|1|3:4|1|0,100,5,inf,3", "must be finite"),
         ("1|x|0:2|1|2:3|1|3:4|1|0,100,5,0.1,3", "bad solution string"),
-    ], ids=["npv-nan", "productivity-inf", "bad-solution"])
+        ("1|1|0:2|1|2:3|1|3:4|1|0,100,5,0.1,x", "valid_number must be 3"),
+        ("1|1|0:2|1|2:3|1|3:4|1|0,100,-3,0.1,3", "makespan must be >= 0"),
+    ], ids=["npv-nan", "productivity-inf", "bad-solution", "valid-number-x",
+            "makespan-negative"])
     def test_metrics_front_rows(self, tmp_path, row, message):
         good = tmp_path / "good.csv"
         good.write_text("solution,npv_cost,makespan,productivity,valid_number\n"

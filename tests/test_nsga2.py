@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from crashplan.errors import InfeasibleInstance
 from crashplan.evaluate import Chromosome, ObjectiveVector, evaluate
 from crashplan.moga import MogaParams, run_moga
 from crashplan.nsga2 import Nsga2Params, _survival, crowding_distance, run_nsga2
@@ -109,3 +112,8 @@ class TestRunNsga2:
         run_nsga2(toy4, Nsga2Params(seed=6, pop_size=12, iterations=6),
                   on_generation=lambda g, chroms, front: sizes.append(len(chroms)))
         assert sizes == [12] * 6
+
+    def test_deadline_below_crash_makespan_is_infeasible(self, toy4):
+        with pytest.raises(InfeasibleInstance):
+            run_nsga2(replace(toy4, deadline=2),
+                      Nsga2Params(seed=1, pop_size=4, iterations=2))

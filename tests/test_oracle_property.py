@@ -3,16 +3,17 @@
 The reference is the plain enumeration, written here: every assignment of
 itertools.product(*inst.gene_options) is evaluated and each feasible one
 goes into a ParetoArchive.  `true_pareto_front` must return the same
-front: objectives bit for bit (compared by float.hex), the contributors
-of each member in the same order, the same `feasible` count and
-`evaluations`, or the same exception type.
+front: objectives bit for bit (compared by float.hex), the same first
+chromosome at each member, the same `feasible` count and `evaluations`,
+or the same exception type.
 
 Instances are generated with 1-3 modes and 1-2 resources and then pushed
 to where the walk's bounds and its prefix fire: capacities cut between the
 least and the largest total demand, ids out of topological order, one
-activity with two identical modes (so that contributor order shows), a
-deadline 0-3 periods above the fully crashed makespan, any J from 1 to n,
-a dummy that holds a resource, and both discounting rules.
+activity with two identical modes (so that the walk's order shows in which
+of two chromosomes reaches a point first), a deadline 0-3 periods above
+the fully crashed makespan, any J from 1 to n, a dummy that holds a
+resource, and both discounting rules.
 """
 
 import itertools
@@ -53,14 +54,14 @@ def reference_front(inst, literal_eq15):
 
 
 def outcome(solve):
-    """What a run shows: the front by float hex with its contributors and
-    the counts, or the type of the exception it raised."""
+    """What a run shows: the front by float hex with each point's first
+    chromosome and the counts, or the type of the exception it raised."""
     try:
         front, feasible, evaluations = solve()
     except CrashplanError as exc:
         return type(exc)
     members = [((m.objectives.npv_cost.hex(), m.objectives.makespan,
-                 m.objectives.productivity.hex()), m.contributors)
+                 m.objectives.productivity.hex()), m.chromosome)
                for m in front.members]
     return members, feasible, evaluations
 
@@ -99,7 +100,7 @@ def cases(draw):
                              max_span=draw(st.integers(0, 2)),
                              budget_slack=draw(
                                  st.sampled_from([0.1, 1.0, 3.0])))
-    # two identical modes: each point with this activity has two contributors
+    # two identical modes: two chromosomes reach each point with this activity
     act = inst.activities[draw(st.integers(2, n - 1)) - 1]
     inst = replace_activity(inst, act.id, modes=act.modes + act.modes[:1])
     inst = narrow(inst, MAX_POINTS)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from crashplan.evaluate import Chromosome, ObjectiveVector
-from crashplan.pareto import (DUPLICATE_TOL, ParetoArchive, _same_point,
-                              dominates, group_by_rank, nondominated_sort,
-                              pareto_filter)
+from crashplan.pareto import (DUPLICATE_TOL, FrontMember, ParetoArchive,
+                              _same_point, dominates, group_by_rank,
+                              nondominated_sort, pareto_filter)
 
 
 def vec(npv, time, prod):
@@ -115,15 +115,14 @@ class TestParetoFilter:
         c1 = Chromosome((1, 2), (1, 1), (0, 0))
         c2 = Chromosome((1, 2), (1, 2), (0, 0))
         front = pareto_filter([(vec(100, 5, 0.3), c1), (vec(100, 5, 0.3), c2)])
-        assert len(front) == 1
-        assert front.members[0].chromosome == c1
-        assert front.members[0].contributors == (c1, c2)
+        assert front.members == (FrontMember(vec(100, 5, 0.3), c1),)
+        assert front.members[0].contributors == (c1,)
 
     def test_repeated_contributor_recorded_once(self):
         c1 = Chromosome((1, 2), (1, 1), (0, 0))
         c2 = Chromosome((1, 2), (1, 2), (0, 0))
-        front = pareto_filter([(vec(100, 5, 0.3), c) for c in (c1, c2, c1, c2)])
-        assert front.members[0].contributors == (c1, c2)
+        front = pareto_filter([(vec(100, 5, 0.3), c) for c in (c2, c1, c2, c1)])
+        assert front.members == (FrontMember(vec(100, 5, 0.3), c2),)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force(self, seed):
@@ -169,20 +168,37 @@ class TestArchive:
         assert len(archive) == 2
 
     def test_duplicate_contributions_tracked(self):
+        """Only the first chromosome at a point is kept."""
         c1 = Chromosome((1, 2), (1, 1), (0, 0))
         c2 = Chromosome((1, 2), (1, 2), (0, 0))
         archive = ParetoArchive()
-        archive.add(vec(1, 1, 1), c1)
-        archive.add(vec(1, 1, 1), c2)
-        assert archive.front().members[0].contributors == (c1, c2)
+        assert archive.add(vec(1, 1, 1), c1)
+        assert not archive.add(vec(1, 1, 1), c2)
+        assert archive.front().members == (FrontMember(vec(1, 1, 1), c1),)
+        assert archive.front().members[0].contributors == (c1,)
 
     def test_same_chromosome_twice_leaves_one_contributor(self):
         c1 = Chromosome((1, 2), (1, 1), (0, 0))
         c2 = Chromosome((1, 2), (1, 2), (0, 0))
         archive = ParetoArchive()
-        for c in (c1, c1, c2, c1):
+        for c in (c2, c2, c1, c2):
             archive.add(vec(1, 1, 1), c)
-        assert archive.front().members[0].contributors == (c1, c2)
+        assert archive.front().members == (FrontMember(vec(1, 1, 1), c2),)
+
+    def test_point_reached_by_many_chromosomes_keeps_one(self):
+        chroms = [Chromosome((1, 2), (1, 1), (0, d)) for d in range(1000)]
+        archive = ParetoArchive()
+        for c in chroms:
+            archive.add(vec(1, 1, 1), c)
+        assert len(archive) == 1
+        assert archive.front().members == (FrontMember(vec(1, 1, 1), chroms[0]),)
+
+    def test_point_without_chromosome(self):
+        archive = ParetoArchive()
+        archive.add(vec(1, 1, 1))
+        archive.add(vec(1, 1, 1), Chromosome((1, 2), (1, 1), (0, 0)))
+        member = archive.front().members[0]
+        assert member.chromosome is None and member.contributors == ()
 
     def test_insertion_order_independent(self):
         rng = np.random.default_rng(500)
@@ -199,14 +215,11 @@ class TestArchive:
     @pytest.mark.parametrize("seed", range(4))
     def test_inline_tests_agree_with_dominates(self, seed):
         def reference_add(members, obj, chrom):
-            for kept, contributors in members:
-                if _same_point(kept, obj):
-                    contributors[chrom] = None
-                    return False
-                if dominates(kept, obj):
+            for kept, _ in members:
+                if _same_point(kept, obj) or dominates(kept, obj):
                     return False
             members[:] = [m for m in members if not dominates(obj, m[0])]
-            members.append((obj, {chrom: None}))
+            members.append((obj, chrom))
             return True
 
         rng = np.random.default_rng(seed)

@@ -3,12 +3,16 @@
 bench/tracing.py wraps functions by (module, attribute) and silently skips
 a name that no longer resolves, so moving a traced function would only
 show up as a per-layer metric stuck at 0 calls.  This loads the span table
-without changing the file and checks each span name still resolves.
+without changing the file and checks each span name still resolves, and
+that the tracer's archive totals still read the front members it expects.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+from crashplan.evaluate import Chromosome, ObjectiveVector
+from crashplan.pareto import ParetoArchive
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -35,3 +39,16 @@ def test_every_span_name_resolves():
                           for module, attr, span in tracing.SPANS
                           if span == name)]
     assert missing == []
+
+
+def test_end_op_counts_archive_members():
+    """end_op reads each front member's `contributors`; one per point."""
+    archive = ParetoArchive()
+    for cost, makespan, durations in ((100.0, 6, (0, 1)), (90.0, 7, (0, 2)),
+                                      (90.0, 7, (0, 3))):
+        archive.add(ObjectiveVector(cost, makespan, 0.5),
+                    Chromosome((1, 2), (1, 1), durations))
+    tracer = _load_tracing().Tracer()
+    tracer.archives[id(archive)] = archive
+    out = tracer.end_op()
+    assert out["archive_size"] == 2 and out["contributors"] == 2
