@@ -23,7 +23,7 @@ from .evaluate import (baseline_chromosome, compute_payments, decode_schedule,
                        evaluate, parse_solution)
 from .instance import (generate_instance, instance_hash, load_instance,
                        save_instance, validate_instance)
-from .metrics import CSV_HEADER, compare_report
+from .metrics import CSV_HEADER, best_solutions, compare_report
 from .moga import MogaParams, run_moga
 from .nsga2 import Nsga2Params, run_nsga2
 from .oracle import DEFAULT_MAX_POINTS, true_pareto_front
@@ -163,16 +163,18 @@ def _cmd_solve(args, argv) -> int:
             if value is not None:
                 overrides[key] = value
         params = MogaParams(seed=args.seed, **overrides)
-        use_archive = args.front != "final"
-        report = run_moga(inst, params, use_archive=use_archive,
-                          max_evaluations=args.max_evaluations,
-                          literal_eq15=args.literal_eq15)
+        run, use_archive = run_moga, args.front != "final"
     else:
         params = Nsga2Params(seed=args.seed, **overrides)
-        use_archive = args.front == "archive"
-        report = run_nsga2(inst, params, use_archive=use_archive,
-                           max_evaluations=args.max_evaluations,
-                           literal_eq15=args.literal_eq15)
+        run, use_archive = run_nsga2, args.front == "archive"
+    try:
+        report = run(inst, params, use_archive=use_archive,
+                     max_evaluations=args.max_evaluations,
+                     literal_eq15=args.literal_eq15)
+    except BadParams as exc:
+        # the solvers check their parameters and budget before any draw, so
+        # this is an option value out of range: a usage error
+        raise ParseError(str(exc)) from None
     front_to_csv(report, args.out)
     _sidecar(args.out, argv, seed=args.seed, instance_hash=report.instance_hash,
              algorithm=report.algorithm, params=report.params,
@@ -236,7 +238,12 @@ def _cmd_tune(args, argv) -> int:
                 for v in levels.values()):
             raise ParseError(f"{args.levels}: expected an object mapping each "
                              "factor to a list of numeric levels")
-    report = tune(inst, levels, args.seed, threads=args.threads)
+    try:
+        report = tune(inst, levels, args.seed, threads=args.threads)
+    except BadParams as exc:
+        # tune checks the level table and its 25 parameter sets before any
+        # run, so this is an option value out of range: a usage error
+        raise ParseError(f"{args.levels}: {exc}") from None
     json_path, _ = write_tuning_files(report, args.out_dir)
     _sidecar(str(json_path), argv, seed=args.seed,
              instance_hash=instance_hash(inst))
@@ -259,13 +266,10 @@ def _cmd_sweep(args, argv) -> int:
         lines.append("deadline,best_npv,best_time,best_productivity,front_size")
         for deadline in _parse_grid(args.values, int):
             variant = _sweep_variant(inst, "deadline", deadline)
-            report = true_pareto_front(variant, max_points=args.max_points)
-            objs = report.front.objectives()
-            lines.append(
-                f"{deadline},{fmt_float(min(o.npv_cost for o in objs))},"
-                f"{min(o.makespan for o in objs)},"
-                f"{fmt_float(max(o.productivity for o in objs))},"
-                f"{len(report.front)}")
+            front = true_pareto_front(variant, max_points=args.max_points).front
+            npv, makespan, prod = best_solutions(front)
+            lines.append(f"{deadline},{fmt_float(npv)},{makespan},"
+                         f"{fmt_float(prod)},{len(front)}")
     else:
         chrom = (parse_solution(args.chromosome) if args.chromosome
                  else baseline_chromosome(inst))

@@ -13,8 +13,13 @@ class ParseError(CrashplanError):
     """An input file violates its schema; message names the offending field."""
 
 
-class InfeasibleInstance(CrashplanError):
-    """No duration choice can meet the deadline (EF of the end activity > D)."""
+class NoFeasible(CrashplanError):
+    """No solution passes all three constraint groups."""
+
+
+class InfeasibleInstance(NoFeasible):
+    """No duration choice can meet the deadline (EF of the end activity > D),
+    so no solution is feasible."""
 
 
 class EncodingError(CrashplanError):
@@ -47,10 +52,6 @@ class SpaceTooLarge(CrashplanError):
     def __init__(self, message: str, space_size: int):
         super().__init__(message)
         self.space_size = space_size
-
-
-class NoFeasible(CrashplanError):
-    """Exhaustive enumeration found no solution passing all constraint groups."""
 
 
 class Singular(CrashplanError):

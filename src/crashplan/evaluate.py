@@ -357,7 +357,7 @@ def evaluate_variant(inst: ProjectInstance, base: DecodedSchedule,
     """evaluate(inst, variant) for a one-gene variant of a decoded chromosome.
 
     `base` is decode_schedule(inst, chrom), and `variant` differs from chrom
-    in the gene of `activity` only, a gene taken from inst.gene_options, so
+    in at most the gene of `activity`, a gene taken from inst.gene_options, so
     the variant needs no second validation.  Only `activity` and its
     descendants are re-timed, by one forward pass in topological order.
     """

@@ -9,6 +9,7 @@ the financial parameters of the payment plan.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import sys
@@ -189,32 +190,21 @@ class Violation:
         return f"{msg} ({self.detail})" if self.detail else msg
 
 
-def _toposort(inst: ProjectInstance) -> list[int] | None:
-    """Kahn's algorithm with min-id tie-break; None when the graph has a cycle."""
-    indeg = [0] * inst.n
-    for act in inst.activities:
-        for h in act.successors:
-            indeg[h - 1] += 1
-    ready = sorted(i + 1 for i in range(inst.n) if indeg[i] == 0)
+def topological_order(inst: ProjectInstance) -> tuple[int, ...]:
+    """Canonical topological order of the precedence graph: Kahn's
+    algorithm taking the smallest ready id first.  Raises BadParams when
+    the graph has a cycle."""
+    indeg = [len(p) for p in inst.predecessors]
+    ready = [i + 1 for i in range(inst.n) if indeg[i] == 0]
     order: list[int] = []
     while ready:
-        i = ready.pop(0)
+        i = heapq.heappop(ready)
         order.append(i)
-        inserted = False
-        for h in sorted(inst.activities[i - 1].successors):
+        for h in inst.activities[i - 1].successors:
             indeg[h - 1] -= 1
             if indeg[h - 1] == 0:
-                ready.append(h)
-                inserted = True
-        if inserted:
-            ready.sort()
-    return order if len(order) == inst.n else None
-
-
-def topological_order(inst: ProjectInstance) -> tuple[int, ...]:
-    """Canonical (deterministic) topological order of the precedence graph."""
-    order = _toposort(inst)
-    if order is None:
+                heapq.heappush(ready, h)
+    if len(order) != inst.n:
         raise BadParams("precedence graph has a cycle")
     return tuple(order)
 
@@ -287,7 +277,9 @@ def validate_instance(inst: ProjectInstance) -> list[Violation]:
     if any(x.rule.startswith("successor ids") for x in v):
         return v
 
-    if _toposort(inst) is None:
+    try:
+        topological_order(inst)
+    except BadParams:
         v.append(Violation("activities", "precedence graph must be acyclic"))
     else:
         fwd = _reachable_from(inst, 1)

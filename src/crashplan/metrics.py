@@ -93,26 +93,28 @@ def quality_measure(fronts: list[Front]) -> list[float]:
             for f in fronts]
 
 
-def generational_distance(front: Front, reference: Front,
-                          scale: np.ndarray | None = None) -> float:
-    """Literal root-of-summed-squared nearest distances over the front size."""
+def _nearest_distances(front: Front, reference: Front,
+                       scale: np.ndarray | None) -> np.ndarray:
+    """Euclidean distance from each front point to its nearest reference
+    point."""
     if not front.members or not reference.members:
         raise BadParams("empty front or reference")
     a = _points(front, scale)
     b = _points(reference, scale)
-    d = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
-    return float(np.sqrt((d ** 2).sum()) / len(a))
+    return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
+
+
+def generational_distance(front: Front, reference: Front,
+                          scale: np.ndarray | None = None) -> float:
+    """Literal root-of-summed-squared nearest distances over the front size."""
+    d = _nearest_distances(front, reference, scale)
+    return float(np.sqrt((d ** 2).sum()) / len(d))
 
 
 def mpfe(front: Front, reference: Front,
          scale: np.ndarray | None = None) -> float:
     """Largest minimal Euclidean distance from the front to the reference."""
-    if not front.members or not reference.members:
-        raise BadParams("empty front or reference")
-    a = _points(front, scale)
-    b = _points(reference, scale)
-    d = np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
-    return float(d.max())
+    return float(_nearest_distances(front, reference, scale).max())
 
 
 def spacing(front: Front, scale: np.ndarray | None = None) -> float:

@@ -180,16 +180,18 @@ def mutate(inst: ProjectInstance, chrom: Chromosome,
     return Chromosome(new_order, tuple(modes), tuple(durations))
 
 
-def tournament_select(pop_ranks: list[int], rng: np.random.Generator) -> int:
-    """Binary tournament on nondomination rank; equal ranks decided by coin."""
-    n = len(pop_ranks)
+def tournament_select(keys: list, rng: np.random.Generator) -> int:
+    """Binary tournament, the smaller key winning; equal keys decided by a
+    coin.  MOGA's keys are nondomination ranks, NSGA-II's are
+    (rank, -crowding distance) pairs."""
+    n = len(keys)
     if n < 2:
         raise BadParams("tournament needs a population of at least 2")
     picked = rng.choice(n, size=2, replace=False)
     a, b = int(picked[0]), int(picked[1])
-    if pop_ranks[a] < pop_ranks[b]:
+    if keys[a] < keys[b]:
         return a
-    if pop_ranks[b] < pop_ranks[a]:
+    if keys[b] < keys[a]:
         return b
     return a if rng.random() < 0.5 else b
 
@@ -216,14 +218,15 @@ def hill_climb(inst: ProjectInstance, chrom: Chromosome,
     given, else by scan order).  Without improvement the input returns
     unchanged; the result is never dominated by the input.
 
-    The input is evaluated, and so validated, once; each variant is then
-    scored from the input's schedule by Evaluator.variant, which re-times
-    only the changed activity and its descendants.  Every variant counts
-    as one evaluation.
+    The input is decoded, and so validated, once and scored from that
+    schedule as a variant that changes no gene; each variant is then
+    scored from the same schedule by Evaluator.variant, which re-times
+    only the changed activity and its descendants.  The input and every
+    variant count as one evaluation each.
     """
     ev = _eval if _eval is not None else Evaluator(inst)
-    base_obj, _ = ev(chrom)
     base = decode_schedule(inst, chrom)
+    base_obj, _ = ev.variant(base, chrom, chrom.order[0])
     for a in chrom.order:
         current = (chrom.modes[a - 1], chrom.durations[a - 1])
         variants: list[tuple[ObjectiveVector, Chromosome]] = []
@@ -362,9 +365,15 @@ def evolve(inst: ProjectInstance, params: SolverParams, algorithm: str,
     attempts), then calls on_generation(gen, chromosomes, archive_front).
     max_evaluations is checked after each generation, so a run overshoots
     it by up to one generation (initialisation alone may exceed it).
+    Before any draw, parameters out of range or a max_evaluations below 1
+    raise BadParams and a deadline below the fully crashed makespan
+    raises InfeasibleInstance.
     """
     t0 = time.perf_counter()
-    compute_time_windows(inst)  # InfeasibleInstance before any draw
+    params.validate()
+    if max_evaluations is not None and max_evaluations < 1:
+        raise BadParams(f"max_evaluations must be >= 1, got {max_evaluations}")
+    compute_time_windows(inst)
     archive = ParetoArchive()
     evaluator = Evaluator(inst, archive, literal_eq15)
     attempts = ATTEMPTS_FACTOR * params.pop_size

@@ -1,16 +1,14 @@
 """NSGA-II baseline on the shared generation driver (see the moga module):
-crowded binary tournaments, a crossover coin, and the standard
-(mu+lambda) survival on (nondomination rank, crowding distance)."""
+binary tournaments on the crowded comparison, a crossover coin, and the
+standard (mu+lambda) survival on (nondomination rank, crowding distance)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .evaluate import Chromosome, ObjectiveVector
 from .instance import ProjectInstance
-from .moga import SolverParams, breed, crossover, evolve
+from .moga import SolverParams, breed, crossover, evolve, tournament_select
 from .pareto import group_by_rank, nondominated_sort
 from .reporting import FrontReport
 
@@ -42,17 +40,6 @@ def crowding_distance(front: list[ObjectiveVector]) -> list[float]:
     return dist
 
 
-def _crowded_tournament(ranks: list[int], crowding: list[float],
-                        rng: np.random.Generator) -> int:
-    picked = rng.choice(len(ranks), size=2, replace=False)
-    a, b = int(picked[0]), int(picked[1])
-    if (ranks[a], -crowding[a]) < (ranks[b], -crowding[b]):
-        return a
-    if (ranks[b], -crowding[b]) < (ranks[a], -crowding[a]):
-        return b
-    return a if rng.random() < 0.5 else b
-
-
 def _survival(pool: list[tuple[Chromosome, ObjectiveVector]],
               pop_size: int) -> list[tuple[Chromosome, ObjectiveVector]]:
     """Fill the next population front by front; the boundary front is
@@ -78,15 +65,16 @@ def run_nsga2(inst: ProjectInstance, params: Nsga2Params,
     (pass use_archive=True for the external-archive variant)."""
 
     def next_population(pop, ranks, rng, evaluator, attempts):
-        crowding = [0.0] * len(pop)
+        # the crowded comparison: lower rank, then larger crowding distance
+        keys: list = [None] * len(pop)
         for group in group_by_rank(ranks):
             dist = crowding_distance([pop[i][1] for i in group])
             for i, d in zip(group, dist):
-                crowding[i] = d
+                keys[i] = (ranks[i], -d)
 
         def pick_pair(rng):
-            i1 = _crowded_tournament(ranks, crowding, rng)
-            i2 = _crowded_tournament(ranks, crowding, rng)
+            i1 = tournament_select(keys, rng)
+            i2 = tournament_select(keys, rng)
             parents = (pop[i1][0], pop[i2][0])
             if rng.random() < params.crossover_rate:
                 return crossover(*parents)

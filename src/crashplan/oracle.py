@@ -15,8 +15,8 @@ Wells (1995):
 
 * resources: the demand of the fixed modes plus the least demand of the
   activities still unfixed exceeds a capacity;
-* time: a fixed activity's finish plus its longest path to the end at
-  minimum crash durations exceeds the deadline.
+* time: a fixed activity's finish exceeds its latest finish in the CPM
+  windows at minimum crash durations (`compute_time_windows`).
 
 Genes are mode-major with durations ascending, so a failed bound also
 skips the rest of the mode's genes: they share its demand and finish no
@@ -39,7 +39,8 @@ from operator import add, le
 
 from .errors import NoFeasible, SpaceTooLarge
 from .evaluate import Chromosome, _settle
-from .instance import ProjectInstance, instance_hash, topological_order
+from .instance import (ProjectInstance, compute_time_windows, instance_hash,
+                       topological_order)
 from .pareto import ParetoArchive
 from .reporting import FrontReport
 
@@ -58,7 +59,9 @@ def true_pareto_front(inst: ProjectInstance,
     their nondominated set (exact by construction).
 
     `evaluations` is the size of the search space; `params["scored"]`
-    counts the points that passed both bounds and were scored.
+    counts the points that passed both bounds and were scored.  A
+    deadline below the fully crashed makespan raises InfeasibleInstance,
+    a NoFeasible, before the walk.
     """
     size = search_space_size(inst)
     if size > max_points:
@@ -66,11 +69,13 @@ def true_pareto_front(inst: ProjectInstance,
             f"search space has {size} points (> {max_points})", size)
 
     t0 = time.perf_counter()
+    windows = compute_time_windows(inst)
+    latest = [windows.latest_finish[i] for i in range(1, inst.n + 1)]
     order = topological_order(inst)
     archive = ParetoArchive()
     scored = feasible = 0
     for modes, durations, start, finish, cost, q_min, q_sum in _walk(
-            inst, order):
+            inst, order, latest):
         scored += 1
         # resource_ok: the walk yields only points within the capacities
         obj, rep = _settle(inst, start, finish, cost, q_min, q_sum, True,
@@ -90,15 +95,16 @@ def true_pareto_front(inst: ProjectInstance,
         wall_ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def _walk(inst: ProjectInstance, order: tuple[int, ...]):
+def _walk(inst: ProjectInstance, order: tuple[int, ...], latest: list):
     """Yield (modes, durations, start, finish, cost, q_min, q_sum) for every
     point within the capacities and the deadline, in the order of
     itertools.product(*inst.gene_options); the last five are `_settle`'s
     arguments.
 
-    `order` is topological_order(inst).  `cost` sums the real activities'
-    discounted cost terms in ascending index order.  The lists are the
-    walk's own and change with its next step.
+    `order` is topological_order(inst) and `latest` the latest finishes of
+    compute_time_windows(inst), indexed by id - 1.  `cost` sums the real
+    activities' discounted cost terms in ascending index order.  The lists
+    are the walk's own and change with its next step.
     """
     n = inst.n
     view = inst.compiled
@@ -115,15 +121,6 @@ def _walk(inst: ProjectInstance, order: tuple[int, ...]):
         if not dummy[k]:
             rows = (gene[4] for gene in view.genes[k])
             least[k] = tuple(map(add, least[k], map(min, zip(*rows))))
-    # tail[k]: the longest path from the finish of k to the end when every
-    # later activity takes its minimum crash duration
-    crash = inst.crash_min
-    tail = [0] * n
-    for i in reversed(order):
-        tail[i - 1] = max((crash[h - 1] + tail[h - 1]
-                           for h in inst.activities[i - 1].successors),
-                          default=0)
-
     # one row per gene: (mode, duration, the numerator of its cost term,
     # the end of the mode's genes in the table, and on the first gene of a
     # mode (demands, the most demand the activities before it may hold,
@@ -197,9 +194,10 @@ def _walk(inst: ProjectInstance, order: tuple[int, ...]):
                 if f > s:
                     s = f
             f = s + d
-            # the ancestors passed this test, so this is the largest
-            # finish + tail over the fixed activities
-            if f + tail[k] > deadline:
+            # past its latest finish, k leaves its descendants too little
+            # time even at full crash; the activities fixed before k
+            # passed this test already
+            if f > latest[k]:
                 next_gene[k] = mode_end
                 continue
             start[k] = s

@@ -31,33 +31,8 @@ DEFAULT_LEVELS: dict[str, list] = {
 # Standard L25 orthogonal array (level indices 0..4).  Rows are the GF(5)
 # points (a, b) with columns a, b, a+b, a+2b, a+3b, a+4b (mod 5); any two
 # columns run through all 25 level pairs exactly once.
-L25 = (
-    (0, 0, 0, 0, 0, 0),
-    (0, 1, 1, 2, 3, 4),
-    (0, 2, 2, 4, 1, 3),
-    (0, 3, 3, 1, 4, 2),
-    (0, 4, 4, 3, 2, 1),
-    (1, 0, 1, 1, 1, 1),
-    (1, 1, 2, 3, 4, 0),
-    (1, 2, 3, 0, 2, 4),
-    (1, 3, 4, 2, 0, 3),
-    (1, 4, 0, 4, 3, 2),
-    (2, 0, 2, 2, 2, 2),
-    (2, 1, 3, 4, 0, 1),
-    (2, 2, 4, 1, 3, 0),
-    (2, 3, 0, 3, 1, 4),
-    (2, 4, 1, 0, 4, 3),
-    (3, 0, 3, 3, 3, 3),
-    (3, 1, 4, 0, 1, 2),
-    (3, 2, 0, 2, 4, 1),
-    (3, 3, 1, 4, 2, 0),
-    (3, 4, 2, 1, 0, 4),
-    (4, 0, 4, 4, 4, 4),
-    (4, 1, 0, 1, 2, 3),
-    (4, 2, 1, 3, 0, 2),
-    (4, 3, 2, 0, 3, 1),
-    (4, 4, 3, 2, 1, 0),
-)
+L25 = tuple((a, b, *((a + c * b) % 5 for c in range(1, 5)))
+            for a in range(5) for b in range(5))
 
 
 def _check_levels(levels: dict[str, list]) -> None:
@@ -89,10 +64,15 @@ def _row_seed(base_seed: int, row_index: int) -> int:
 
 
 def l25_design(levels: dict[str, list], seed: int = 0) -> list[MogaParams]:
-    """The 25 concrete parameter sets prescribed by the orthogonal array."""
+    """The 25 concrete parameter sets prescribed by the orthogonal array;
+    BadParams unless `levels` holds five levels of each factor and every
+    set is in range."""
     _check_levels(levels)
-    return [_row_params(levels, row, _row_seed(seed, k))
-            for k, row in enumerate(L25)]
+    design = [_row_params(levels, row, _row_seed(seed, k))
+              for k, row in enumerate(L25)]
+    for params in design:
+        params.validate()
+    return design
 
 
 def anom(responses: list[float],
@@ -163,7 +143,7 @@ def tune(inst: ProjectInstance, levels: dict[str, list] | None = None,
                 for index, objs in pool.map(_run_row, jobs):
                     results[index] = objs
         except OSError:
-            threads = 1
+            pass  # no worker processes: run the rows in this one
     if results[0] is None:
         for job in jobs:
             index, objs = _run_row(job)

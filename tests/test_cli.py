@@ -245,7 +245,15 @@ class TestZeroCost:
 
 class TestInfeasibleInstance:
     """A deadline below the fully crashed makespan is a domain error (exit
-    1) raised before the solver draws any chromosome."""
+    1) raised before the solver draws any chromosome or the oracle walks."""
+
+    @staticmethod
+    def assert_infeasible(result, out):
+        assert result.returncode == 1, result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "earliest finish 3 exceeds deadline 2" in lines[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("algo", ["moga", "nsga2"])
     def test_exit_one_without_traceback(self, toy4_path, tmp_path, algo):
@@ -254,13 +262,24 @@ class TestInfeasibleInstance:
         path = tmp_path / "late.json"
         path.write_text(json.dumps(data))
         out = tmp_path / "front.csv"
-        result = run_cli("solve", "--algo", algo, "--seed", "1",
-                         "--instance", str(path), "--out", str(out))
-        assert result.returncode == 1, result.stderr
-        lines = result.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "exceeds deadline 2" in lines[0]
-        assert not out.exists()
+        self.assert_infeasible(run_cli(
+            "solve", "--algo", algo, "--seed", "1",
+            "--instance", str(path), "--out", str(out)), out)
+
+    def test_oracle(self, toy4_path, tmp_path):
+        data = json.loads(toy4_path.read_text())
+        data["deadline"] = 2
+        path = tmp_path / "late.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "front.csv"
+        self.assert_infeasible(run_cli(
+            "oracle", "--instance", str(path), "--out", str(out)), out)
+
+    def test_deadline_sweep(self, toy4_path, tmp_path):
+        out = tmp_path / "sweep.csv"
+        self.assert_infeasible(run_cli(
+            "sweep", "--param", "deadline", "--values", "2",
+            "--instance", str(toy4_path), "--out", str(out)), out)
 
 
 class TestUsageErrors:
@@ -414,3 +433,50 @@ class TestBadArgumentValues:
             "tune", "--instance", str(toy4_path), "--seed", "1",
             "--levels", str(levels), "--threads", "1",
             "--out-dir", str(tmp_path / "tune")))
+
+    @pytest.mark.parametrize("option", [
+        ("--pop", "1"), ("--iterations", "-1"), ("--crossover", "2"),
+        ("--mutation", "-0.1"), ("--hill-climb", "1.5"), ("--elitism", "2"),
+        ("--max-evaluations", "-5"), ("--max-evaluations", "0"),
+    ], ids=lambda option: "".join(option))
+    def test_solve_option_out_of_range(self, toy4_path, tmp_path, option):
+        out = tmp_path / "front.csv"
+        result = run_cli("solve", "--algo", "moga", "--seed", "1",
+                         "--instance", str(toy4_path), *option,
+                         "--out", str(out))
+        self.assert_usage_error(result)
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+    def test_nsga2_option_out_of_range(self, toy4_path, tmp_path):
+        out = tmp_path / "front.csv"
+        self.assert_usage_error(run_cli(
+            "solve", "--algo", "nsga2", "--seed", "1", "--pop", "1",
+            "--instance", str(toy4_path), "--out", str(out)))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("change", [
+        {"population": [4, 5, 6, 7, 8]},
+        {"pop_size": [4, 5, 6, 7]},
+        {"pop_size": [1, 5, 6, 7, 8]},
+        {"crossover_rate": [0.4, 0.5, 0.6, 0.7, 1.8]},
+    ], ids=["other-factor", "four-levels", "pop-1", "rate-above-1"])
+    def test_tune_level_table(self, toy4_path, tmp_path, change):
+        table = {"elitism_rate": [0.0, 0.05, 0.1, 0.15, 0.2],
+                 "hill_climb_rate": [0.0, 0.1, 0.2, 0.3, 0.4],
+                 "mutation_rate": [0.2, 0.3, 0.4, 0.5, 0.6],
+                 "crossover_rate": [0.4, 0.5, 0.6, 0.7, 0.8],
+                 "iterations": [1, 2, 2, 3, 3],
+                 "pop_size": [4, 5, 6, 7, 8]}
+        if "population" in change:
+            del table["pop_size"]
+        table.update(change)
+        levels = tmp_path / "levels.json"
+        levels.write_text(json.dumps(table))
+        out_dir = tmp_path / "tune"
+        result = run_cli("tune", "--instance", str(toy4_path), "--seed", "1",
+                         "--levels", str(levels), "--threads", "1",
+                         "--out-dir", str(out_dir))
+        self.assert_usage_error(result)
+        assert len(result.stderr.strip().splitlines()) == 1
+        assert not out_dir.exists()

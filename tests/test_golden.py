@@ -9,15 +9,18 @@ the pins in the same commit.
 """
 
 import hashlib
+import json
 from dataclasses import asdict, replace
 
 import pytest
 
+from crashplan.cli import main
 from crashplan.instance import compute_time_windows, generate_instance
 from crashplan.moga import MogaParams, run_moga
 from crashplan.nsga2 import Nsga2Params, run_nsga2
 from crashplan.oracle import true_pareto_front
 from crashplan.reporting import front_to_csv
+from crashplan.tuning import DEFAULT_LEVELS, l25_design
 
 from conftest import reverse_real_ids
 
@@ -148,3 +151,40 @@ def test_params_key_order():
         "hill_climb_rate", "elitism_rate"]
     assert list(asdict(Nsga2Params(seed=0))) == [
         "seed", "pop_size", "iterations", "crossover_rate", "mutation_rate"]
+
+
+# Analysis outputs: the design of the tuning screen, a deadline sweep and a
+# normalized metrics report against the oracle's front, each by the sha256
+# of its bytes.
+
+def test_l25_design_is_pinned():
+    design = l25_design(DEFAULT_LEVELS, 0)
+    text = json.dumps([asdict(p) for p in design])
+    assert hashlib.sha256(text.encode()).hexdigest() \
+        == "c5a2fb12b0eb659aede7edff27ba92d1675d7190ff72ba13894757f19522f66b"
+
+
+def test_deadline_sweep_is_pinned(toy4_path, tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--param", "deadline", "--values", "3,4,5,8",
+                 "--instance", str(toy4_path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() \
+        == "9a4657fb1e219ef2cdc48a3d00b1227112c66fdad0d96e9f42491e45c20f882d"
+
+
+def test_normalized_metrics_report_is_pinned(toy4_path, tmp_path):
+    toy4 = str(toy4_path)
+    a, b, ref, out = (str(tmp_path / name)
+                      for name in ("a.csv", "b.csv", "ref.csv", "r.json"))
+    assert main(["solve", "--algo", "moga", "--instance", toy4, "--seed", "1",
+                 "--pop", "2", "--iterations", "0", "--front", "final",
+                 "--out", a]) == 0
+    assert main(["solve", "--algo", "nsga2", "--instance", toy4, "--seed", "2",
+                 "--pop", "3", "--iterations", "0", "--out", b]) == 0
+    assert main(["oracle", "--instance", toy4, "--out", ref]) == 0
+    assert main(["metrics", "--front-a", a, "--front-b", b, "--reference", ref,
+                 "--normalize", "--out", out]) == 0
+    with open(out, "rb") as report:
+        digest = hashlib.sha256(report.read()).hexdigest()
+    assert digest \
+        == "1d875e943926dbf71dc0884173d11c734a1a39e4581c266519458e64ec5f2a44"

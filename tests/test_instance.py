@@ -7,9 +7,10 @@ from crashplan.errors import BadParams, InfeasibleInstance, ParseError
 from crashplan.evaluate import baseline_chromosome, evaluate
 from crashplan.instance import (compute_time_windows, generate_instance,
                                 instance_to_dict, load_instance,
-                                save_instance, validate_instance)
+                                save_instance, topological_order,
+                                validate_instance)
 
-from conftest import dummy, replace_activity, replace_mode
+from conftest import dummy, relabel, replace_activity, replace_mode
 
 NAN = float("nan")
 INF = float("inf")
@@ -33,6 +34,13 @@ class TestValidate:
         violations = validate_instance(bad)
         assert len(violations) == 1
         assert "acyclic" in violations[0].rule
+
+    def test_self_loop_is_also_a_cycle(self, toy4):
+        bad = replace_activity(toy4, 2, successors=frozenset({2, 4}))
+        rules = [v.rule for v in validate_instance(bad)]
+        assert "self-loop" in rules
+        with pytest.raises(BadParams, match="cycle"):
+            topological_order(bad)
 
     def test_quality_range(self, toy4):
         bad = replace_mode(toy4, 2, 1, quality=120.0)
@@ -232,3 +240,18 @@ class TestIo:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             load_instance(tmp_path / "nope.json")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_topological_order_takes_the_smallest_ready_id(seed):
+    inst = generate_instance(seed, 10, 2, 0.4)
+    # ids shuffled so that id order is not a topological order
+    perm = list(range(2, inst.n))
+    perm.sort(key=lambda i: (i * 7 + seed) % (inst.n - 2))
+    inst = relabel(inst, (1, *perm, inst.n))
+    expected: list[int] = []
+    while len(expected) < inst.n:
+        expected.append(min(
+            a.id for a in inst.activities if a.id not in expected
+            and all(p + 1 in expected for p in inst.predecessors[a.id - 1])))
+    assert topological_order(inst) == tuple(expected)

@@ -5,6 +5,7 @@ import pytest
 
 from crashplan.errors import BadParams, InitTimeout
 from crashplan.evaluate import Chromosome, decode_schedule, evaluate
+from crashplan import moga
 from crashplan.instance import ActivityMode, generate_instance
 from crashplan.moga import (MogaParams, crossover, frac_count, hill_climb,
                             init_population, make_rng, mutate,
@@ -12,6 +13,7 @@ from crashplan.moga import (MogaParams, crossover, frac_count, hill_climb,
                             tournament_select)
 from crashplan.nsga2 import Nsga2Params
 from crashplan.oracle import true_pareto_front
+from crashplan.pareto import ParetoArchive
 
 from conftest import dummy, make_instance, real
 
@@ -220,6 +222,40 @@ class TestHillClimb:
                     assert evaluate(inst, out)[0].as_tuple() in targets
 
 
+    def test_input_is_decoded_once_and_counted_once(self, toy4, monkeypatch):
+        # the input is scored from its one decoded schedule, never by a
+        # second full evaluate, and counts as one evaluation like each variant
+        rng = np.random.default_rng(11)
+        decoded = []
+        real_decode = moga.decode_schedule
+
+        def decode(inst, chrom):
+            decoded.append(chrom)
+            return real_decode(inst, chrom)
+
+        def no_evaluate(*args, **kwargs):
+            raise AssertionError("hill_climb called evaluate")
+
+        monkeypatch.setattr(moga, "decode_schedule", decode)
+        monkeypatch.setattr(moga, "evaluate", no_evaluate)
+        for _ in range(20):
+            c, base_obj = _feasible(toy4, rng)
+            decoded.clear()
+            archive = ParetoArchive()
+            ev = moga.Evaluator(toy4, archive)
+            scored = []
+            score = ev.variant
+            ev.variant = lambda base, chrom, a: (scored.append(chrom)
+                                                 or score(base, chrom, a))
+            hill_climb(toy4, c, _eval=ev)
+            assert decoded == [c]
+            assert scored[0] == c and c not in scored[1:]
+            assert ev.count == len(scored)
+            assert archive.front().contains_point(base_obj) or any(
+                _dominates_raw(m.objectives, base_obj)
+                for m in archive.front().members)
+
+
 def _feasible(inst, rng):
     while True:
         c = random_chromosome(inst, rng)
@@ -287,6 +323,11 @@ class TestRunMoga:
             run_moga(toy4, MogaParams(seed=1, pop_size=1))
         with pytest.raises(BadParams):
             run_moga(toy4, MogaParams(seed=1, crossover_rate=1.5))
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_evaluation_budget_below_one_rejected(self, toy4, budget):
+        with pytest.raises(BadParams, match="max_evaluations"):
+            run_moga(toy4, MogaParams(seed=1), max_evaluations=budget)
 
 
 @pytest.mark.parametrize("cls,field", [

@@ -5,7 +5,7 @@ import pytest
 
 from crashplan.errors import InfeasibleInstance
 from crashplan.evaluate import Chromosome, ObjectiveVector, evaluate
-from crashplan.moga import MogaParams, run_moga
+from crashplan.moga import MogaParams, run_moga, tournament_select
 from crashplan.nsga2 import Nsga2Params, _survival, crowding_distance, run_nsga2
 from crashplan.oracle import true_pareto_front
 from crashplan.pareto import dominates, group_by_rank, nondominated_sort
@@ -13,6 +13,55 @@ from crashplan.pareto import dominates, group_by_rank, nondominated_sort
 
 def vec(npv, time, prod):
     return ObjectiveVector(float(npv), int(time), float(prod))
+
+
+def reference_crowded_tournament(ranks, crowding, rng):
+    """NSGA-II's crowded binary tournament written out on its own: lower
+    rank wins, then larger crowding distance, else a coin."""
+    picked = rng.choice(len(ranks), size=2, replace=False)
+    a, b = int(picked[0]), int(picked[1])
+    if (ranks[a], -crowding[a]) < (ranks[b], -crowding[b]):
+        return a
+    if (ranks[b], -crowding[b]) < (ranks[a], -crowding[a]):
+        return b
+    return a if rng.random() < 0.5 else b
+
+
+class TestCrowdedTournament:
+    """tournament_select on (rank, -crowding) keys makes the same picks
+    from the same draws as the crowded tournament."""
+
+    INF = float("inf")
+
+    @pytest.mark.parametrize("seed,ranks,crowding", [
+        (0, [0, 0, 0, 0], [1.0, 1.0, 1.0, 1.0]),
+        (1, [0, 0, 1, 1, 2], [INF, INF, 0.5, INF, 0.0]),
+        (2, [1, 0, 1, 0, 2, 2], [0.0, INF, 0.0, 0.25, INF, 0.25]),
+        (3, [0, 0], [INF, INF]),
+    ], ids=["all-tied", "inf-crowding", "mixed", "two-boundaries"])
+    def test_same_picks_and_stream(self, seed, ranks, crowding):
+        keys = [(r, -c) for r, c in zip(ranks, crowding)]
+        ref_rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(1000):
+            assert tournament_select(keys, rng) \
+                == reference_crowded_tournament(ranks, crowding, ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_random_populations(self):
+        draw = np.random.default_rng(7)
+        for seed in range(20):
+            n = int(draw.integers(2, 12))
+            ranks = [int(r) for r in draw.integers(0, 3, size=n)]
+            crowding = [float(c) for c in
+                        draw.choice([0.0, 0.5, 1.0, self.INF], size=n)]
+            keys = [(r, -c) for r, c in zip(ranks, crowding)]
+            ref_rng = np.random.default_rng(100 + seed)
+            rng = np.random.default_rng(100 + seed)
+            for _ in range(1000):
+                assert tournament_select(keys, rng) \
+                    == reference_crowded_tournament(ranks, crowding, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestCrowdingDistance:

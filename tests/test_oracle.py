@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from crashplan.errors import NoFeasible, SpaceTooLarge, ZeroCost
+from crashplan.errors import (InfeasibleInstance, NoFeasible, SpaceTooLarge,
+                             ZeroCost)
 from crashplan.evaluate import Chromosome, evaluate
 from crashplan.instance import ActivityMode, generate_instance, topological_order
 from crashplan.oracle import search_space_size, true_pareto_front
@@ -73,6 +74,13 @@ class TestTrueParetoFront:
     def test_no_feasible(self, toy4):
         with pytest.raises(NoFeasible):
             true_pareto_front(replace(toy4, deadline=2))
+
+    def test_deadline_below_crash_makespan_is_infeasible(self, toy4):
+        # the CPM windows refuse it before the walk, as a NoFeasible
+        with pytest.raises(InfeasibleInstance) as err:
+            true_pareto_front(replace(toy4, deadline=2))
+        assert isinstance(err.value, NoFeasible)
+        assert "earliest finish 3 exceeds deadline 2" in str(err.value)
 
     def test_space_too_large(self, toy4):
         with pytest.raises(SpaceTooLarge) as err:
