@@ -27,7 +27,8 @@ from .metrics import CSV_HEADER, best_solutions, compare_report
 from .moga import MogaParams, run_moga
 from .nsga2 import Nsga2Params, run_nsga2
 from .oracle import DEFAULT_MAX_POINTS, true_pareto_front
-from .reporting import fmt_float, front_from_csv, front_to_csv, write_sidecar
+from .reporting import (fmt_float, front_from_csv, front_to_csv,
+                        numbered_lines, write_sidecar)
 from .tuning import tune, write_tuning_files
 
 
@@ -233,11 +234,6 @@ def _cmd_tune(args, argv) -> int:
             levels = json.loads(Path(args.levels).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{args.levels}: bad JSON ({exc})") from exc
-        if not isinstance(levels, dict) or not all(
-                isinstance(v, list) and all(type(x) in (int, float) for x in v)
-                for v in levels.values()):
-            raise ParseError(f"{args.levels}: expected an object mapping each "
-                             "factor to a list of numeric levels")
     try:
         report = tune(inst, levels, args.seed, threads=args.threads)
     except BadParams as exc:
@@ -286,13 +282,12 @@ def _cmd_sweep(args, argv) -> int:
 
 
 def _read_influence_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
-    rows = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()
-            if line.strip()]
+    rows = numbered_lines(path)
     if not rows:
         raise ParseError("influence CSV is empty")
-    criteria = tuple(name.strip() for name in rows[0].split(","))
+    criteria = tuple(name.strip() for name in rows[0][1].split(","))
     matrix = []
-    for lineno, line in enumerate(rows[1:], 2):
+    for lineno, line in rows[1:]:
         parts = line.split(",")
         if len(parts) != len(criteria):
             raise ParseError(f"line {lineno}: expected {len(criteria)} columns")
@@ -306,18 +301,17 @@ def _read_influence_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 def _read_scores_csv(path: str, criteria: tuple[str, ...]) -> danp_mod.CriterionScores:
-    rows = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()
-            if line.strip()]
+    rows = numbered_lines(path)
     if not rows:
         raise ParseError("scores CSV is empty")
-    header = [h.strip() for h in rows[0].split(",")]
+    header = [h.strip() for h in rows[0][1].split(",")]
     if header[:2] != ["activity", "mode"]:
         raise ParseError("scores CSV must start with activity,mode columns")
     names = tuple(header[2:])
     if set(names) != set(criteria):
         raise ParseError("scores CSV criteria must match the influence matrix")
     entries: dict = {}
-    for lineno, line in enumerate(rows[1:], 2):
+    for lineno, line in rows[1:]:
         parts = [x.strip() for x in line.split(",")]
         if len(parts) != len(header):
             raise ParseError(f"line {lineno}: expected {len(header)} columns")

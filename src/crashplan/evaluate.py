@@ -35,7 +35,7 @@ from operator import le
 from typing import NamedTuple
 
 from .errors import EncodingError, NoRealActivities, ZeroCost
-from .instance import ProjectInstance
+from .instance import ProjectInstance, forward_pass
 
 __all__ = [
     "Chromosome", "DecodedSchedule", "PaymentEvent", "PaymentPlan",
@@ -365,18 +365,11 @@ def evaluate_variant(inst: ProjectInstance, base: DecodedSchedule,
     start, finish = base.start, base.finish
     durations = variant.durations
     if start[k] + durations[k] != finish[k]:
-        preds = inst.predecessors
         start = list(start)
         finish = list(finish)
         finish[k] = start[k] + durations[k]
-        for h in inst.descendants[k]:
-            s = 0
-            for p in preds[h]:
-                f = finish[p]
-                if f > s:
-                    s = f
-            start[h] = s
-            finish[h] = s + durations[h]
+        forward_pass(inst.predecessors, durations, start, finish,
+                     inst.descendants[k])
     return _score(inst, variant, start, finish, literal_eq15)
 
 

@@ -154,11 +154,11 @@ class ProjectInstance:
         topological order, so one forward pass over it re-times a change to
         that activity.  O(n^2) entries: built for the hill climb's
         `evaluate_variant` only."""
-        topo_pos = {i: p for p, i in enumerate(topological_order(self))}
-        return tuple(
-            tuple(i - 1 for i in sorted(_reachable_from(self, a.id) - {a.id},
-                                        key=topo_pos.__getitem__))
-            for a in self.activities)
+        succs = [[h - 1 for h in a.successors] for a in self.activities]
+        topo_pos = {i - 1: p for p, i in enumerate(topological_order(self))}
+        return tuple(tuple(sorted(_reachable(succs, k) - {k},
+                                  key=topo_pos.__getitem__))
+                     for k in range(self.n))
 
     @cached_property
     def gene_options(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -209,16 +209,32 @@ def topological_order(inst: ProjectInstance) -> tuple[int, ...]:
     return tuple(order)
 
 
-def _reachable_from(inst: ProjectInstance, start: int) -> set[int]:
+def _reachable(neighbours, start: int) -> set[int]:
+    """Every index reachable from `start` over the index lists
+    `neighbours` (successors or predecessors), `start` included."""
     seen = {start}
     stack = [start]
     while stack:
-        i = stack.pop()
-        for h in inst.activities[i - 1].successors:
+        for h in neighbours[stack.pop()]:
             if h not in seen:
                 seen.add(h)
                 stack.append(h)
     return seen
+
+
+def forward_pass(preds, durations, start: list, finish: list, indices) -> None:
+    """Earliest start over `indices`, in their order: each start is the
+    largest predecessor finish (0 with none) and each finish that start
+    plus the duration.  Indices are id - 1; `start` and `finish` change in
+    place, and a predecessor outside `indices` keeps the finish it has."""
+    for k in indices:
+        s = 0
+        for p in preds[k]:
+            f = finish[p]
+            if f > s:
+                s = f
+        start[k] = s
+        finish[k] = s + durations[k]
 
 
 def validate_instance(inst: ProjectInstance) -> list[Violation]:
@@ -235,8 +251,11 @@ def validate_instance(inst: ProjectInstance) -> list[Violation]:
 
     if n < 2 or not inst.activities[0].is_dummy or not inst.activities[-1].is_dummy:
         v.append(Violation("activities", "activity 1 and activity n must be dummies"))
+        if n < 2:
+            return v  # the graph checks start at activity 1 and end at n
 
     resources = {r for r, _ in inst.resource_capacity}
+    bad_successor = False
     for act in inst.activities:
         tag = f"activities[{act.id - 1}]"
         if not act.modes:
@@ -269,12 +288,13 @@ def validate_instance(inst: ProjectInstance) -> list[Violation]:
                 v.append(Violation(f"{tag}", "dummy needs one zero mode and V=0"))
         for h in act.successors:
             if not (1 <= h <= n):
+                bad_successor = True
                 v.append(Violation(f"{tag}.successors", "successor ids must be valid",
                                    f"got {h}"))
             elif h == act.id:
                 v.append(Violation(f"{tag}.successors", "self-loop"))
 
-    if any(x.rule.startswith("successor ids") for x in v):
+    if bad_successor:
         return v
 
     try:
@@ -282,20 +302,14 @@ def validate_instance(inst: ProjectInstance) -> list[Violation]:
     except BadParams:
         v.append(Violation("activities", "precedence graph must be acyclic"))
     else:
-        fwd = _reachable_from(inst, 1)
-        unreachable = [a.id for a in inst.activities if a.id != 1 and a.id not in fwd]
+        fwd = _reachable([[h - 1 for h in a.successors] for a in inst.activities], 0)
+        unreachable = [k + 1 for k in range(1, n) if k not in fwd]
         if unreachable:
             v.append(Violation("activities", "every non-start activity reachable from 1",
                                f"unreachable: {unreachable}"))
         # activity n reaches exactly its ancestors: one backward search
-        ancestors = {n - 1}
-        stack = [n - 1]
-        while stack:
-            for p in inst.predecessors[stack.pop()]:
-                if p not in ancestors:
-                    ancestors.add(p)
-                    stack.append(p)
-        dead_end = [a.id for a in inst.activities if a.id - 1 not in ancestors]
+        ancestors = _reachable(inst.predecessors, n - 1)
+        dead_end = [k + 1 for k in range(n) if k not in ancestors]
         if dead_end:
             v.append(Violation("activities", "activity n reachable from every activity",
                                f"dead ends: {dead_end}"))
@@ -346,9 +360,8 @@ def compute_time_windows(inst: ProjectInstance) -> TimeWindows:
     order = topological_order(inst)
     crash = inst.crash_min
     ef = [0] * inst.n
-    for i in order:
-        start = max((ef[p] for p in inst.predecessors[i - 1]), default=0)
-        ef[i - 1] = start + crash[i - 1]
+    forward_pass(inst.predecessors, crash, [0] * inst.n, ef,
+                 [i - 1 for i in order])
     if ef[inst.n - 1] > inst.deadline:
         raise InfeasibleInstance(
             f"earliest finish {ef[inst.n - 1]} exceeds deadline {inst.deadline}")
@@ -623,37 +636,28 @@ def generate_instance(seed: int, n: int, max_modes: int, density: float,
         (r, first_mode_demand[r] + int(rng.integers(0, 2 + first_mode_demand[r] // 4)))
         for r in resources)
 
-    # baseline makespan with first-mode normal durations
-    preds: dict[int, list[int]] = {i: [] for i in range(1, n + 1)}
-    for i, ss in succ.items():
-        for h in ss:
-            preds[h].append(i)
-    finish = {i: 0 for i in range(1, n + 1)}
-    for i in range(1, n + 1):  # ids are already topological by construction
-        dur = 0 if activities[i - 1].is_dummy else activities[i - 1].modes[0].normal_duration
-        finish[i] = max((finish[p] for p in preds[i]), default=0) + dur
-    baseline_makespan = finish[n]
-
+    interest_rate = round(float(rng.uniform(0.01, 0.1)), 3)
+    overhead = round(float(rng.uniform(5, 20)), 2)
+    prepay_ratio = round(float(rng.uniform(0.1, 0.3)), 2)
+    stretch = float(rng.uniform(1.1, 1.4))
+    if payment_count is None:
+        payment_count = int(rng.integers(1, 4))
+    theta = min(1.0, prepay_ratio + round(float(rng.uniform(0.3, 0.6)), 2))
     inst = ProjectInstance(
-        activities=tuple(activities),
-        resource_capacity=capacity,
-        interest_rate=round(float(rng.uniform(0.01, 0.1)), 3),
-        overhead=round(float(rng.uniform(5, 20)), 2),
-        prepay_ratio=round(float(rng.uniform(0.1, 0.3)), 2),
-        compensation_ratio=0.0,  # placeholder, fixed just below
-        deadline=int(math.ceil(baseline_makespan * float(rng.uniform(1.1, 1.4)))) + 1,
-        price=price,
-        initial_capital=0.0,
-        quality_blend=0.5,
-        payment_count=(payment_count if payment_count is not None
-                       else int(rng.integers(1, 4))),
-    )
-    theta = min(1.0, inst.prepay_ratio + round(float(rng.uniform(0.3, 0.6)), 2))
-    inst = replace(inst, compensation_ratio=theta)
+        activities=tuple(activities), resource_capacity=capacity,
+        interest_rate=interest_rate, overhead=overhead,
+        prepay_ratio=prepay_ratio, compensation_ratio=theta,
+        deadline=0,  # set from the baseline makespan below
+        price=price, initial_capital=0.0, quality_blend=0.5,
+        payment_count=payment_count)
 
-    # back-solve the initial capital from the baseline schedule's budget gap
-    from .evaluate import baseline_chromosome, budget_balance
-    deficit = budget_balance(inst, baseline_chromosome(inst))
+    # the deadline stretches the baseline schedule's makespan, and the
+    # initial capital is back-solved from its budget gap
+    from .evaluate import baseline_chromosome, budget_balance, decode_schedule
+    baseline = baseline_chromosome(inst)
+    makespan = decode_schedule(inst, baseline).makespan
+    inst = replace(inst, deadline=int(math.ceil(makespan * stretch)) + 1)
+    deficit = budget_balance(inst, baseline)
     ica = round(max(0.0, deficit) + budget_slack * price, 2)
     inst = replace(inst, initial_capital=ica)
 

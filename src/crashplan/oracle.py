@@ -39,8 +39,8 @@ from operator import add, le
 
 from .errors import NoFeasible, SpaceTooLarge
 from .evaluate import Chromosome, _settle
-from .instance import (ProjectInstance, compute_time_windows, instance_hash,
-                       topological_order)
+from .instance import (ProjectInstance, compute_time_windows, forward_pass,
+                       instance_hash, topological_order)
 from .pareto import ParetoArchive
 from .reporting import FrontReport
 
@@ -210,14 +210,7 @@ def _walk(inst: ProjectInstance, order: tuple[int, ...], latest: list):
             k += 1
             costs[k] = cost
             continue
-        for h in retimed:
-            s = 0
-            for p in preds[h]:
-                f = finish[p]
-                if f > s:
-                    s = f
-            start[h] = s
-            finish[h] = s + durations[h]
+        forward_pass(preds, durations, start, finish, retimed)
         if finish[-1] > deadline:
             continue
         for h in late_real:

@@ -111,18 +111,14 @@ def _canonical_key(m: FrontMember) -> tuple:
 
 
 def pareto_filter(pop: list[tuple[ObjectiveVector, Chromosome | None]]) -> Front:
-    """Nondominated subset with near-equal objective vectors collapsed.
-
-    The first occurrence of a duplicated vector is kept, with its chromosome.
-    """
-    ranks = nondominated_sort([obj for obj, _ in pop])
-    members: list[FrontMember] = []
-    for (obj, chrom), rank in zip(pop, ranks):
-        if rank == 0 and not any(_same_point(m.objectives, obj)
-                                 for m in members):
-            members.append(FrontMember(obj, chrom))
-    members.sort(key=_canonical_key)
-    return Front(tuple(members))
+    """Nondominated subset with near-equal objective vectors collapsed: the
+    points enter a ParetoArchive in list order, so of near-equal vectors
+    the first is kept, with its chromosome, even when a later one
+    dominates it within DUPLICATE_TOL."""
+    archive = ParetoArchive()
+    for obj, chrom in pop:
+        archive.add(obj, chrom)
+    return archive.front()
 
 
 @dataclass

@@ -54,15 +54,19 @@ def front_to_csv(report: FrontReport, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def numbered_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(line number in the file, stripped text) of each non-blank line."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return [(lineno, line.strip()) for lineno, line in enumerate(lines, 1)
+            if line.strip()]
+
+
 def front_from_csv(path: str | Path) -> tuple[Front, dict]:
     """Read a front CSV back; returns the front and its header metadata."""
     meta: dict[str, str] = {}
     members: list[FrontMember] = []
     header_seen = False
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in numbered_lines(path):
         if line.startswith("#"):
             key, _, value = line.lstrip("# ").partition("=")
             meta[key.strip()] = value.strip()

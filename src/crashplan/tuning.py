@@ -36,11 +36,23 @@ L25 = tuple((a, b, *((a + c * b) % 5 for c in range(1, 5)))
 
 
 def _check_levels(levels: dict[str, list]) -> None:
+    """BadParams unless `levels` maps each factor to five numbers, whole
+    numbers for the counts `iterations` and `pop_size`."""
+    if not isinstance(levels, dict) or not all(
+            isinstance(v, list) and all(type(x) in (int, float) for x in v)
+            for v in levels.values()):
+        raise BadParams("expected an object mapping each factor to a list "
+                        "of numeric levels")
     if set(levels) != set(FACTORS):
         raise BadParams(f"levels must cover exactly the factors {FACTORS}")
     for name, vals in levels.items():
         if len(vals) != 5:
             raise BadParams(f"factor {name} needs 5 levels, got {len(vals)}")
+    for name in ("iterations", "pop_size"):
+        for x in levels[name]:
+            if isinstance(x, float) and not x.is_integer():
+                raise BadParams(f"factor {name} needs whole-number levels, "
+                                f"got {x}")
 
 
 def _row_params(levels: dict[str, list], row: tuple[int, ...],

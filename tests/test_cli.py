@@ -208,6 +208,25 @@ class TestDanpCommand:
                          "--out-patch", str(tmp_path / "p.json"))
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("bad_file,bad_text", [
+        ("influence", "a,b\n\n0,1\n\n2,x\n"),
+        ("scores", "activity,mode,a,b\n\n2,1,50,60\n  \n2,2,x,60\n"),
+    ], ids=["influence", "scores"])
+    def test_error_names_the_file_line(self, tmp_path, bad_file, bad_text):
+        # blank lines count: the bad value sits on line 5 of its file
+        texts = {"influence": "a,b\n0,1\n2,0\n",
+                 "scores": "activity,mode,a,b\n2,1,50,60\n",
+                 bad_file: bad_text}
+        for name, text in texts.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        result = run_cli("danp", "--influence", str(tmp_path / "influence.csv"),
+                         "--scores", str(tmp_path / "scores.csv"),
+                         "--out-weights", str(tmp_path / "w.json"),
+                         "--out-patch", str(tmp_path / "p.json"))
+        assert result.returncode == 2
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: line 5:")
+
 
 class TestZeroCost:
     """An instance whose every cost and overhead is zero has no productivity;
@@ -296,6 +315,22 @@ class TestUsageErrors:
         assert result.returncode == 2, result.stderr
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ("solve", "--algo", "moga", "--seed", "1", "--pop", "4"), ("oracle",),
+        ("eval", "--chromosome", "1|1|0"),
+    ], ids=lambda command: command[0])
+    def test_no_activities_exits_two(self, toy4_path, tmp_path, command):
+        data = json.loads(toy4_path.read_text())
+        data["activities"] = []
+        inst = tmp_path / "empty.json"
+        inst.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        result = run_cli(*command, "--instance", str(inst), "--out", str(out))
+        assert result.returncode == 2, result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: activities:")
         assert not out.exists()
 
     def test_parse_error_exit_two(self, tmp_path):
@@ -460,7 +495,10 @@ class TestBadArgumentValues:
         {"pop_size": [4, 5, 6, 7]},
         {"pop_size": [1, 5, 6, 7, 8]},
         {"crossover_rate": [0.4, 0.5, 0.6, 0.7, 1.8]},
-    ], ids=["other-factor", "four-levels", "pop-1", "rate-above-1"])
+        {"pop_size": [20.7, 5, 6, 7, 8]},
+        {"iterations": [500.9, 2, 2, 3, 3]},
+    ], ids=["other-factor", "four-levels", "pop-1", "rate-above-1",
+            "pop-20.7", "iterations-500.9"])
     def test_tune_level_table(self, toy4_path, tmp_path, change):
         table = {"elitism_rate": [0.0, 0.05, 0.1, 0.15, 0.2],
                  "hill_climb_rate": [0.0, 0.1, 0.2, 0.3, 0.4],

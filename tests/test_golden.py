@@ -15,7 +15,8 @@ from dataclasses import asdict, replace
 import pytest
 
 from crashplan.cli import main
-from crashplan.instance import compute_time_windows, generate_instance
+from crashplan.instance import (compute_time_windows, generate_instance,
+                                instance_hash)
 from crashplan.moga import MogaParams, run_moga
 from crashplan.nsga2 import Nsga2Params, run_nsga2
 from crashplan.oracle import true_pareto_front
@@ -151,6 +152,31 @@ def test_params_key_order():
         "hill_climb_rate", "elitism_rate"]
     assert list(asdict(Nsga2Params(seed=0))) == [
         "seed", "pop_size", "iterations", "crossover_rate", "mutation_rate"]
+
+
+# The generator: every instance's content hash and CPM latest finishes over
+# a grid of seeds, sizes and option sets, folded into one digest.
+
+GENERATOR_OPTIONS = [
+    dict(max_modes=1, density=0.4),
+    dict(max_modes=3, density=0.3, min_modes=2, n_resources=2),
+    dict(max_modes=3, density=0.6, min_span=1, max_span=4, max_normal=12),
+    dict(max_modes=2, density=0.5, payment_count=3, budget_slack=0.0),
+]
+
+
+def test_generated_instances_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(20):
+        for n in (3, 12, 40):
+            for options in GENERATOR_OPTIONS:
+                inst = generate_instance(seed, n, **options)
+                latest = compute_time_windows(inst).latest_finish
+                digest.update(f"{instance_hash(inst)} "
+                              f"{[latest[i] for i in range(1, n + 1)]}\n"
+                              .encode())
+    assert digest.hexdigest() \
+        == "1c426b88e669206095ef6ae886b4374fce0bf18742ace9ed17aad4d85a67de43"
 
 
 # Analysis outputs: the design of the tuning screen, a deadline sweep and a

@@ -99,6 +99,13 @@ class TestValidate:
         for bad, field in cases:
             assert field in [v.field for v in validate_instance(bad)]
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_activities(self, toy4, count):
+        # the graph checks need activity 1 and activity n: stop before them
+        bad = replace(toy4, activities=toy4.activities[:count])
+        assert [(v.field, v.rule) for v in validate_instance(bad)] == [
+            ("activities", "activity 1 and activity n must be dummies")]
+
     def test_unknown_successor(self, toy4):
         bad = replace_activity(toy4, 2, successors=frozenset({9}))
         assert any("successor" in v.rule for v in validate_instance(bad))

@@ -139,6 +139,19 @@ class TestParetoFilter:
         twice = pareto_filter([(m.objectives, m.chromosome) for m in once.members])
         assert twice.objectives() == once.objectives()
 
+    def test_near_equal_later_dominator_keeps_the_first(self):
+        # within DUPLICATE_TOL the later point is a duplicate, although it
+        # dominates: the first stays, with its chromosome, as in the archive
+        c1 = Chromosome((1, 2), (1, 1), (0, 0))
+        c2 = Chromosome((1, 2), (1, 2), (0, 0))
+        first = ObjectiveVector(100.0, 5, 0.5)
+        second = ObjectiveVector(100.0 - DUPLICATE_TOL / 2, 5, 0.5)
+        assert dominates(second, first)
+        front = pareto_filter([(first, c1), (second, c2)])
+        assert front.members == (FrontMember(first, c1),)
+        assert pareto_filter([(second, c2), (first, c1)]).members \
+            == (FrontMember(second, c2),)
+
     def test_agrees_with_sort(self):
         rng = np.random.default_rng(300)
         objs = random_vectors(rng, 30)

@@ -37,6 +37,14 @@ class TestFrontCsv:
         with pytest.raises(ParseError):
             front_from_csv(bad)
 
+    def test_error_names_the_file_line(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# algorithm=x\n\n"
+                       "solution,npv_cost,makespan,productivity,valid_number\n"
+                       "\n1|1|0,1,2\n")
+        with pytest.raises(ParseError, match="^line 5:"):
+            front_from_csv(bad)
+
     def test_bad_column_count(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("solution,npv_cost,makespan,productivity,valid_number\n"

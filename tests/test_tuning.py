@@ -56,6 +56,23 @@ class TestDesign:
         with pytest.raises(BadParams):
             l25_design({"elitism_rate": [1, 2, 3, 4, 5]})
 
+    @pytest.mark.parametrize("factor,level", [("pop_size", 20.7),
+                                              ("iterations", 500.9)])
+    def test_count_levels_must_be_whole(self, factor, level):
+        # int() would silently run pop 20 or 500 iterations
+        levels = dict(DEFAULT_LEVELS)
+        levels[factor] = [level] + DEFAULT_LEVELS[factor][1:]
+        with pytest.raises(BadParams, match="whole-number"):
+            l25_design(levels)
+        levels[factor] = [float(DEFAULT_LEVELS[factor][0])] \
+            + DEFAULT_LEVELS[factor][1:]
+        assert len(l25_design(levels)) == 25
+
+    @pytest.mark.parametrize("levels", [[1, 2], {"pop_size": [1, "x"]}])
+    def test_levels_must_be_numeric_lists(self, levels):
+        with pytest.raises(BadParams, match="numeric levels"):
+            l25_design(levels)
+
 
 class TestAnom:
     def test_constant_response(self):
