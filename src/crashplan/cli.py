@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,19 @@ from .moga import MogaParams, run_moga
 from .nsga2 import Nsga2Params, run_nsga2
 from .oracle import DEFAULT_MAX_POINTS, true_pareto_front
 from .reporting import (fmt_float, front_from_csv, front_to_csv,
-                        numbered_lines, write_sidecar)
+                        numbered_lines, write_json, write_lines, write_sidecar)
 from .tuning import tune, write_tuning_files
+
+#: each solver's parameter class, entry point and default --front
+_SOLVERS = {"moga": (MogaParams, run_moga, "archive"),
+            "nsga2": (Nsga2Params, run_nsga2, "final")}
+#: the `solve` options that set a parameter field: (flag, field, type); a
+#: flag applies to a solver whose parameter class has its field
+_SOLVE_FLAGS = (("--pop", "pop_size", int), ("--iterations", "iterations", int),
+                ("--crossover", "crossover_rate", float),
+                ("--mutation", "mutation_rate", float),
+                ("--hill-climb", "hill_climb_rate", float),
+                ("--elitism", "elitism_rate", float))
 
 
 def _default_threads() -> int:
@@ -68,15 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("solve", help="run a metaheuristic solver")
-    p.add_argument("--algo", choices=["moga", "nsga2"], required=True)
+    p.add_argument("--algo", choices=list(_SOLVERS), required=True)
     p.add_argument("--instance", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--pop", type=int, default=None)
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--crossover", type=float, default=None)
-    p.add_argument("--mutation", type=float, default=None)
-    p.add_argument("--hill-climb", type=float, default=None)
-    p.add_argument("--elitism", type=float, default=None)
+    for flag, name, kind in _SOLVE_FLAGS:
+        p.add_argument(flag, dest=name, type=kind, default=None)
     p.add_argument("--max-evaluations", type=int, default=None)
     p.add_argument("--front", choices=["archive", "final"], default=None,
                    help="report the external archive or the final population front"
@@ -153,23 +160,18 @@ def _cmd_gen(args, argv) -> int:
 
 
 def _cmd_solve(args, argv) -> int:
+    params_class, run, default_front = _SOLVERS[args.algo]
+    overrides = {name: getattr(args, name) for _, name, _ in _SOLVE_FLAGS
+                 if getattr(args, name) is not None}
+    taken = {f.name for f in fields(params_class)}
+    for flag, name, _ in _SOLVE_FLAGS:
+        if name in overrides and name not in taken:
+            raise ParseError(f"{flag} does not apply to --algo {args.algo}")
     inst = load_instance(args.instance)
-    overrides = {k: v for k, v in [
-        ("pop_size", args.pop), ("iterations", args.iterations),
-        ("crossover_rate", args.crossover), ("mutation_rate", args.mutation),
-    ] if v is not None}
-    if args.algo == "moga":
-        for key, value in (("hill_climb_rate", args.hill_climb),
-                           ("elitism_rate", args.elitism)):
-            if value is not None:
-                overrides[key] = value
-        params = MogaParams(seed=args.seed, **overrides)
-        run, use_archive = run_moga, args.front != "final"
-    else:
-        params = Nsga2Params(seed=args.seed, **overrides)
-        run, use_archive = run_nsga2, args.front == "archive"
+    params = params_class(seed=args.seed, **overrides)
     try:
-        report = run(inst, params, use_archive=use_archive,
+        report = run(inst, params,
+                     use_archive=(args.front or default_front) == "archive",
                      max_evaluations=args.max_evaluations,
                      literal_eq15=args.literal_eq15)
     except BadParams as exc:
@@ -209,11 +211,10 @@ def _cmd_metrics(args, argv) -> int:
         labels = (meta_a.get("algorithm", "a"), meta_b.get("algorithm", "b"))
     report = compare_report(front_a, front_b, reference, labels=labels,
                             normalize=args.normalize)
-    Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n",
-                              encoding="utf-8")
+    write_json(args.out, report.to_dict())
     if args.csv:
-        rows = [CSV_HEADER, report.front_a.csv_row(), report.front_b.csv_row()]
-        Path(args.csv).write_text("\n".join(rows) + "\n", encoding="utf-8")
+        write_lines(args.csv, [CSV_HEADER, report.front_a.csv_row(),
+                               report.front_b.csv_row()])
     _sidecar(args.out, argv, seed=None,
              instance_hash=meta_a.get("instance_hash"))
     return 0
@@ -276,7 +277,7 @@ def _cmd_sweep(args, argv) -> int:
             lines.append(f"{fmt_float(rate)},{fmt_float(obj.npv_cost)},"
                          f"{obj.makespan},{fmt_float(obj.productivity)},"
                          f"{rep.valid_number}")
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(args.out, lines)
     _sidecar(args.out, argv, seed=None, instance_hash=instance_hash(inst))
     return 0
 
@@ -329,13 +330,9 @@ def _cmd_danp(args, argv) -> int:
     total = danp_mod.dematel_total(influence)
     weights = danp_mod.danp_weights(total)
     quality = danp_mod.quality_scores(weights, scores, criteria)
-    Path(args.out_weights).write_text(json.dumps({
-        "criteria": list(criteria),
-        "weights": [float(w) for w in weights],
-    }, indent=2) + "\n", encoding="utf-8")
-    patch = danp_mod.quality_patch(quality)
-    Path(args.out_patch).write_text(json.dumps(patch, indent=2) + "\n",
-                                    encoding="utf-8")
+    write_json(args.out_weights, {"criteria": list(criteria),
+                                  "weights": [float(w) for w in weights]})
+    write_json(args.out_patch, danp_mod.quality_patch(quality))
     _sidecar(args.out_weights, argv, seed=None, instance_hash=None)
     return 0
 
@@ -347,21 +344,13 @@ def _cmd_eval(args, argv) -> int:
     plan = compute_payments(inst, sched)
     obj, rep = evaluate(inst, chrom, literal_eq15=args.literal_eq15)
     payload = {
-        "objectives": {"npv_cost": obj.npv_cost, "makespan": obj.makespan,
-                       "productivity": obj.productivity},
-        "feasibility": {"resource_ok": rep.resource_ok, "time_ok": rep.time_ok,
-                        "budget_ok": rep.budget_ok,
-                        "valid_number": rep.valid_number},
+        "objectives": obj._asdict(),
+        "feasibility": {**rep._asdict(), "valid_number": rep.valid_number},
         "schedule": {"start": list(sched.start), "finish": list(sched.finish)},
-        "payments": {
-            "prepayment": plan.prepayment,
-            "events": [{"index": e.index, "activity": e.activity,
-                        "time": e.time, "amount": e.amount,
-                        "fallback": e.fallback} for e in plan.events],
-        },
+        "payments": {"prepayment": plan.prepayment,
+                     "events": [e._asdict() for e in plan.events]},
     }
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n",
-                              encoding="utf-8")
+    write_json(args.out, payload)
     _sidecar(args.out, argv, seed=None, instance_hash=instance_hash(inst))
     return 0
 

@@ -100,11 +100,6 @@ class ProjectInstance:
                 preds[h - 1].append(act.id - 1)
         return tuple(tuple(sorted(p)) for p in preds)
 
-    @cached_property
-    def crash_min(self) -> tuple[int, ...]:
-        """Minimum crash duration over modes, indexed by id - 1."""
-        return tuple(min(m.crash_duration for m in a.modes) for a in self.activities)
-
     # Flat lookup tables for the evaluation hot path; all indexed by
     # activity id - 1 and then by mode index - 1.
 
@@ -358,7 +353,7 @@ def compute_time_windows(inst: ProjectInstance) -> TimeWindows:
     Raises InfeasibleInstance when even maximal compression misses the deadline.
     """
     order = topological_order(inst)
-    crash = inst.crash_min
+    crash = [min(lo for lo, _ in windows) for windows in inst.duration_bounds]
     ef = [0] * inst.n
     forward_pass(inst.predecessors, crash, [0] * inst.n, ef,
                  [i - 1 for i in order])
@@ -551,12 +546,16 @@ def generate_instance(seed: int, n: int, max_modes: int, density: float,
 
     budget_slack is the extra initial capital as a fraction of the price.
     """
+    if seed < 0:
+        raise BadParams(f"seed must be >= 0, got {seed}")
     if n < 3:
         raise BadParams(f"n must be >= 3, got {n}")
     if max_modes < 1:
         raise BadParams(f"max_modes must be >= 1, got {max_modes}")
     if not (1 <= min_modes <= max_modes):
         raise BadParams("need 1 <= min_modes <= max_modes")
+    if n_resources < 0:
+        raise BadParams(f"n_resources must be >= 0, got {n_resources}")
     if not (0 < density <= 1):
         raise BadParams(f"density must be in (0, 1], got {density}")
     if not (1 <= min_normal <= max_normal):
@@ -652,16 +651,20 @@ def generate_instance(seed: int, n: int, max_modes: int, density: float,
         payment_count=payment_count)
 
     # the deadline stretches the baseline schedule's makespan, and the
-    # initial capital is back-solved from its budget gap
+    # initial capital is back-solved from its budget gap, which discounts
+    # up to the horizon that the rules bound: so they are checked first
     from .evaluate import baseline_chromosome, budget_balance, decode_schedule
     baseline = baseline_chromosome(inst)
     makespan = decode_schedule(inst, baseline).makespan
-    inst = replace(inst, deadline=int(math.ceil(makespan * stretch)) + 1)
+    inst = _checked(replace(inst, deadline=int(math.ceil(makespan * stretch)) + 1))
     deficit = budget_balance(inst, baseline)
     ica = round(max(0.0, deficit) + budget_slack * price, 2)
-    inst = replace(inst, initial_capital=ica)
+    return _checked(replace(inst, initial_capital=ica))
 
+
+def _checked(inst: ProjectInstance) -> ProjectInstance:
+    """inst, or BadParams naming the first rule a generated instance breaks."""
     violations = validate_instance(inst)
-    if violations:  # pragma: no cover - construction guarantees validity
+    if violations:
         raise BadParams(f"generator produced invalid instance: {violations[0]}")
     return inst

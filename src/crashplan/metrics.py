@@ -8,15 +8,13 @@ reference range first.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import BadParams
 from .pareto import Front, pareto_filter
-
-_METRIC_KEYS = ("best_npv", "best_time", "best_productivity", "nps", "qm",
-                "dm", "mid", "gd", "mpfe", "hrs", "sp")
+from .reporting import fmt_float
 
 
 def _points(front: Front, scale: np.ndarray | None = None) -> np.ndarray:
@@ -197,16 +195,18 @@ class FrontMetrics:
     sp: float
 
     def csv_row(self) -> str:
-        """Flat spreadsheet row; column order matches CSV_HEADER."""
-        vals = [self.label, self.best_productivity, self.best_npv,
-                self.best_time, self.nps, self.qm, self.dm, self.mid,
-                self.gd, self.mpfe, self.hrs, self.sp]
-        return ",".join(str(v) if isinstance(v, (str, int)) else format(v, ".12g")
+        """Flat spreadsheet row of the CSV_COLUMNS."""
+        vals = (getattr(self, name) for name in CSV_COLUMNS)
+        return ",".join(str(v) if isinstance(v, (str, int)) else fmt_float(v)
                         for v in vals)
 
 
-CSV_HEADER = ("label,best_productivity,best_npv,best_time,nps,qm,dm,mid,"
-              "gd,mpfe,hrs,sp")
+#: the metrics compared between two fronts, in field order
+_METRIC_KEYS = tuple(f.name for f in fields(FrontMetrics))[1:]
+#: the spreadsheet columns of `metrics --csv`
+CSV_COLUMNS = ("label", "best_productivity", "best_npv", "best_time", "nps",
+               "qm", "dm", "mid", "gd", "mpfe", "hrs", "sp")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -218,13 +218,7 @@ class MetricReport:
     wilcoxon_p: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "front_a": asdict(self.front_a),
-            "front_b": asdict(self.front_b),
-            "diff_pct": dict(self.diff_pct),
-            "wilcoxon_w": self.wilcoxon_w,
-            "wilcoxon_p": self.wilcoxon_p,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "MetricReport":

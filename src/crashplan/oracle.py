@@ -48,8 +48,11 @@ DEFAULT_MAX_POINTS = 10_000_000
 
 
 def search_space_size(inst: ProjectInstance) -> int:
-    """Number of (mode, duration) assignments the oracle enumerates."""
-    return math.prod(len(genes) for genes in inst.gene_options)
+    """Number of (mode, duration) assignments the oracle enumerates,
+    counted from the duration windows without building the gene table (a
+    dummy's one window is [0, 0])."""
+    return math.prod(sum(hi - lo + 1 for lo, hi in windows)
+                     for windows in inst.duration_bounds)
 
 
 def true_pareto_front(inst: ProjectInstance,

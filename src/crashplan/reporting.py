@@ -1,4 +1,5 @@
-"""Serialization of solver results: front CSV files and metadata sidecars.
+"""Output formats: front CSV files, metadata sidecars, and the float, JSON
+and line-file rules every output file of the package follows.
 
 Front CSV layout (documented column order):
   comment header lines:  # instance_hash=..., # algorithm=..., # seed=...
@@ -20,10 +21,20 @@ from .evaluate import ObjectiveVector, format_solution, parse_solution
 from .pareto import Front, FrontMember
 
 TOOL_VERSION = "0.1.0"
+FRONT_HEADER = "solution,npv_cost,makespan,productivity,valid_number"
 
 
 def fmt_float(x: float) -> str:
     return format(x, ".12g")
+
+
+def write_json(path: str | Path, data, *, sort_keys: bool = False) -> None:
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=sort_keys) + "\n",
+                          encoding="utf-8")
+
+
+def write_lines(path: str | Path, lines: list[str]) -> None:
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 @dataclass(frozen=True)
@@ -44,14 +55,14 @@ def front_to_csv(report: FrontReport, path: str | Path) -> None:
         f"# instance_hash={report.instance_hash}",
         f"# algorithm={report.algorithm}",
         f"# seed={report.seed}",
-        "solution,npv_cost,makespan,productivity,valid_number",
+        FRONT_HEADER,
     ]
     for m in report.front.members:
         sol = format_solution(m.chromosome) if m.chromosome else ""
         o = m.objectives
         lines.append(f"{sol},{fmt_float(o.npv_cost)},{o.makespan},"
                      f"{fmt_float(o.productivity)},3")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(path, lines)
 
 
 def numbered_lines(path: str | Path) -> list[tuple[int, str]]:
@@ -72,7 +83,7 @@ def front_from_csv(path: str | Path) -> tuple[Front, dict]:
             meta[key.strip()] = value.strip()
             continue
         if not header_seen:
-            if line != "solution,npv_cost,makespan,productivity,valid_number":
+            if line != FRONT_HEADER:
                 raise ParseError(f"line {lineno}: unexpected header {line!r}")
             header_seen = True
             continue
@@ -105,7 +116,5 @@ def front_from_csv(path: str | Path) -> tuple[Front, dict]:
 def write_sidecar(out_path: str | Path, payload: dict) -> Path:
     """Write `<out>.meta.json` next to a primary output file."""
     side = Path(str(out_path) + ".meta.json")
-    payload = {"tool_version": TOOL_VERSION, **payload}
-    side.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    write_json(side, {"tool_version": TOOL_VERSION, **payload}, sort_keys=True)
     return side

@@ -3,7 +3,6 @@ with analysis-of-means level recommendation."""
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -14,6 +13,7 @@ from .errors import BadParams
 from .instance import ProjectInstance
 from .metrics import ReferenceBounds, mid
 from .moga import MogaParams, run_moga
+from .reporting import fmt_float, write_json, write_lines
 
 FACTORS = ("elitism_rate", "hill_climb_rate", "mutation_rate",
            "crossover_rate", "iterations", "pop_size")
@@ -181,13 +181,12 @@ def write_tuning_files(report: TuningReport, out_dir: str | Path) -> tuple[Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     json_path = out / "tuning.json"
-    json_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n",
-                         encoding="utf-8")
+    write_json(json_path, report.to_dict())
     lines = ["factor,level,value,mean_response"]
     for k, factor in enumerate(FACTORS):
         for level in range(5):
             lines.append(f"{factor},{level + 1},{report.levels[k][level]},"
-                         f"{format(report.level_means[k][level], '.12g')}")
+                         f"{fmt_float(report.level_means[k][level])}")
     csv_path = out / "means.csv"
-    csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(csv_path, lines)
     return json_path, csv_path

@@ -317,6 +317,19 @@ class TestUsageErrors:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", [
+        ("--max-normal", "10000"), ("--resources", "-1"),
+    ], ids=lambda option: "".join(option))
+    def test_gen_option_out_of_range(self, tmp_path, option):
+        # a horizon whose discount factor overflows, and a negative count
+        out = tmp_path / "inst.json"
+        result = run_cli("gen", "--seed", "1", "--activities", "6",
+                         "--modes", "2", *option, "--out", str(out))
+        assert result.returncode == 2, result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ("solve", "--algo", "moga", "--seed", "1", "--pop", "4"), ("oracle",),
         ("eval", "--chromosome", "1|1|0"),
@@ -488,6 +501,21 @@ class TestBadArgumentValues:
         self.assert_usage_error(run_cli(
             "solve", "--algo", "nsga2", "--seed", "1", "--pop", "1",
             "--instance", str(toy4_path), "--out", str(out)))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", [
+        ("--hill-climb", "0.3"), ("--elitism", "0.9"),
+    ], ids=lambda option: option[0])
+    def test_nsga2_rejects_moga_only_option(self, toy4_path, tmp_path, option):
+        # NSGA-II has no hill climb and no elitism rate: a run that dropped
+        # the option would misreport what it was asked to run
+        out = tmp_path / "front.csv"
+        result = run_cli("solve", "--algo", "nsga2", "--seed", "1",
+                         "--instance", str(toy4_path), *option,
+                         "--out", str(out))
+        self.assert_usage_error(result)
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and option[0] in lines[0]
         assert not out.exists()
 
     @pytest.mark.parametrize("change", [

@@ -214,3 +214,111 @@ def test_normalized_metrics_report_is_pinned(toy4_path, tmp_path):
         digest = hashlib.sha256(report.read()).hexdigest()
     assert digest \
         == "1d875e943926dbf71dc0884173d11c734a1a39e4581c266519458e64ec5f2a44"
+
+
+# Every other CLI output: one run of each command on small inputs, each
+# file pinned by the sha256 of its bytes.  A sidecar is first held to its
+# layout (sorted keys, two-space indent, final newline), then pinned
+# without `command` (it holds the temporary paths) and `wall_ms`.
+
+TUNE_LEVELS = {"elitism_rate": [0.0, 0.05, 0.1, 0.15, 0.2],
+               "hill_climb_rate": [0.0, 0.1, 0.2, 0.3, 0.4],
+               "mutation_rate": [0.2, 0.3, 0.4, 0.5, 0.6],
+               "crossover_rate": [0.4, 0.5, 0.6, 0.7, 0.8],
+               "iterations": [1, 2, 2, 3, 3], "pop_size": [4, 5, 6, 7, 8]}
+
+OUTPUT_PINS = {
+    "gen.json":
+        "3da01bda35fa484b336fd29953ec1cb4c7fb6ae0fcc37f94a64a02fcca5dcb67",
+    "gen.json.meta.json":
+        "f81905c204f3cb3f8db442e432bd11754ada06af61e92346c922a97df51a48fe",
+    "moga.csv":
+        "e43b9b4e3315e9813fbce6e5c11668d7537abb13eec0b0bf19869a36b65e52e5",
+    "moga.csv.meta.json":
+        "4a28c7dec5d57a5b963f6dbe347563227fa116d218a87ad2ecd01f1443ab6f1c",
+    "nsga2.csv.meta.json":
+        "a63c3e5ebd85abc59fa441695956e14a82579d5ca84de650d4f2656d289607fc",
+    "oracle.csv.meta.json":
+        "611fc5f8b438b1732daaedeaf500f685caf35965e254fa699c1854b45d6868e9",
+    "metrics.json":
+        "226d464f68167f75e30209faf6524f1e369937bd6797373ab20b06a8bf309df2",
+    "metrics.json.meta.json":
+        "6dd513107a9c53c934034cab6562f26dc578bcfc71c4e79e993ea9db934ad430",
+    "rows.csv":
+        "d687419541adbfa8b16b5fcd3e6b6e528648cd0df268b1753609a9f4d6474869",
+    "tune/tuning.json":
+        "7f30f0437b9d57ce5d989c412a8d932847119268b8a50f6e692fe850732f1771",
+    "tune/tuning.json.meta.json":
+        "217e02e9d29cef99ef7d29fca853bea19a7246a9d868ffa813bc6a3a2e93328c",
+    "tune/means.csv":
+        "ede634e140f513801b3d9ce77ec924a17196d71736244856e627672658d5758f",
+    "deadline.csv.meta.json":
+        "6dd513107a9c53c934034cab6562f26dc578bcfc71c4e79e993ea9db934ad430",
+    "discount.csv":
+        "24445beca640e6e79ad4cfb43d9059c34c4627698b49f9ae33e09c9305cc952a",
+    "discount.csv.meta.json":
+        "6dd513107a9c53c934034cab6562f26dc578bcfc71c4e79e993ea9db934ad430",
+    "weights.json":
+        "8ef6feb0b5420727189e038004a6aa675b8c3b522174ea6872dcf03150959519",
+    "weights.json.meta.json":
+        "a3f4cabb4a71ee2b08c19aba90ebba395ce0aa8b579798810c60c84471e5acb4",
+    "patch.json":
+        "6121c832ea94cfc7964362a9bc2c474fa193cc44251e5d2958770f074cb86222",
+    "eval.json":
+        "de1ed182b700b31906171db22ab4c28e45bc00931b5bee575489c96cae5493d6",
+    "eval.json.meta.json":
+        "6dd513107a9c53c934034cab6562f26dc578bcfc71c4e79e993ea9db934ad430",
+}
+
+
+@pytest.fixture(scope="module")
+def cli_outputs(toy4_path, tmp_path_factory):
+    out = tmp_path_factory.mktemp("outputs")
+    toy4 = str(toy4_path)
+    levels = out / "levels.json"
+    levels.write_text(json.dumps(TUNE_LEVELS))
+    influence = out / "influence.csv"
+    influence.write_text("cost,safety,finish\n0,1,2\n1,0,1\n2,1,0\n")
+    scores = out / "scores.csv"
+    scores.write_text("activity,mode,cost,safety,finish\n"
+                      "2,1,80,70,90\n2,2,60,50,80\n3,1,90,85,95\n")
+    runs = [
+        ["gen", "--seed", "4", "--activities", "6", "--modes", "2",
+         "--out", "gen.json"],
+        ["solve", "--algo", "moga", "--instance", toy4, "--seed", "1",
+         "--pop", "4", "--iterations", "3", "--hill-climb", "0.3",
+         "--elitism", "0.5", "--out", "moga.csv"],
+        ["solve", "--algo", "nsga2", "--instance", toy4, "--seed", "2",
+         "--pop", "3", "--iterations", "0", "--out", "nsga2.csv"],
+        ["oracle", "--instance", toy4, "--out", "oracle.csv"],
+        ["metrics", "--front-a", "moga.csv", "--front-b", "nsga2.csv",
+         "--reference", "oracle.csv", "--labels", "x,y",
+         "--csv", "rows.csv", "--out", "metrics.json"],
+        ["tune", "--instance", "gen.json", "--seed", "13", "--levels",
+         str(levels), "--threads", "1", "--out-dir", str(out / "tune")],
+        ["sweep", "--param", "deadline", "--values", "3,8",
+         "--instance", toy4, "--out", "deadline.csv"],
+        ["sweep", "--param", "discount", "--values", "0,0.05,0.125",
+         "--instance", toy4, "--out", "discount.csv"],
+        ["danp", "--influence", str(influence), "--scores", str(scores),
+         "--out-weights", "weights.json", "--out-patch", "patch.json"],
+        ["eval", "--instance", toy4, "--chromosome",
+         "1|1|0:2|1|4:3|1|5:4|1|0", "--out", "eval.json"],
+    ]
+    for argv in runs:
+        argv = [str(out / a) if a.endswith((".csv", ".json")) else a
+                for a in argv]
+        assert main(argv) == 0, argv
+    return out
+
+
+@pytest.mark.parametrize("name,digest", OUTPUT_PINS.items())
+def test_cli_output_is_pinned(cli_outputs, name, digest):
+    text = (cli_outputs / name).read_text(encoding="utf-8")
+    if name.endswith(".meta.json"):
+        data = json.loads(text)
+        assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
+        del data["command"]
+        data.pop("wall_ms", None)
+        text = json.dumps(data, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

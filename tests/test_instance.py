@@ -152,7 +152,8 @@ class TestTimeWindows:
         for seed in range(5):
             inst = generate_instance(seed, 8, 3, 0.5)
             tw = compute_time_windows(inst)
-            crash = inst.crash_min
+            crash = [min(m.crash_duration for m in a.modes)
+                     for a in inst.activities]
             for act in inst.activities:
                 for h in act.successors:
                     assert tw.earliest_finish[h] >= tw.earliest_finish[act.id] + crash[h - 1]
@@ -199,6 +200,19 @@ class TestGenerate:
             generate_instance(1, 6, 0, 0.5)
         with pytest.raises(BadParams, match="payment_count"):
             generate_instance(1, 6, 2, 0.5, payment_count=7)
+
+    def test_negative_seed_and_resource_count(self):
+        with pytest.raises(BadParams, match="seed"):
+            generate_instance(-1, 6, 2, 0.5)
+        with pytest.raises(BadParams, match="n_resources"):
+            generate_instance(1, 6, 2, 0.5, n_resources=-1)
+
+    @pytest.mark.parametrize("max_normal", [3000, 10000])
+    def test_long_horizon_is_bad_params(self, max_normal):
+        # the discount-horizon rule is checked before the initial capital is
+        # back-solved from an NPV that would overflow
+        with pytest.raises(BadParams, match="interest_rate"):
+            generate_instance(1, 6, 2, 0.4, max_normal=max_normal)
 
 
 class TestIo:

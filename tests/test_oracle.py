@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -47,6 +48,26 @@ class TestSpaceSize:
     def test_toy4(self, toy4):
         # A2: (4-2+1) + (3-2+1) = 5 options; A3: 3 options
         assert search_space_size(toy4) == 15
+
+    @pytest.mark.parametrize("seed", [1, 5, 9])
+    def test_counts_the_gene_table(self, seed):
+        inst = generate_instance(seed, 8, 3, 0.5, max_span=4)
+        assert search_space_size(inst) \
+            == math.prod(len(genes) for genes in inst.gene_options)
+
+    def test_wide_window_refused_without_a_gene_table(self, toy4):
+        # one window of 3,000,000 durations: a gene per duration would take
+        # hundreds of MB before the size check could refuse the space
+        wide = replace_mode(replace(toy4, interest_rate=0.0), 2, 1,
+                            normal_duration=3_000_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SpaceTooLarge):
+                true_pareto_front(wide, max_points=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestTrueParetoFront:
