@@ -145,15 +145,12 @@ def _sidecar(args_out: str, argv: list[str], **payload) -> None:
 
 
 def _cmd_gen(args, argv) -> int:
-    try:
-        inst = generate_instance(
-            args.seed, args.activities, args.modes, args.density,
-            min_modes=args.min_modes, n_resources=args.resources,
-            min_span=args.min_span, max_span=args.max_span,
-            max_normal=args.max_normal, payment_count=args.payments,
-            budget_slack=args.budget_slack)
-    except BadParams as exc:  # an option value out of range is a usage error
-        raise ParseError(str(exc)) from None
+    inst = generate_instance(
+        args.seed, args.activities, args.modes, args.density,
+        min_modes=args.min_modes, n_resources=args.resources,
+        min_span=args.min_span, max_span=args.max_span,
+        max_normal=args.max_normal, payment_count=args.payments,
+        budget_slack=args.budget_slack)
     save_instance(inst, args.out)
     _sidecar(args.out, argv, seed=args.seed, instance_hash=instance_hash(inst))
     return 0
@@ -169,15 +166,10 @@ def _cmd_solve(args, argv) -> int:
             raise ParseError(f"{flag} does not apply to --algo {args.algo}")
     inst = load_instance(args.instance)
     params = params_class(seed=args.seed, **overrides)
-    try:
-        report = run(inst, params,
-                     use_archive=(args.front or default_front) == "archive",
-                     max_evaluations=args.max_evaluations,
-                     literal_eq15=args.literal_eq15)
-    except BadParams as exc:
-        # the solvers check their parameters and budget before any draw, so
-        # this is an option value out of range: a usage error
-        raise ParseError(str(exc)) from None
+    report = run(inst, params,
+                 use_archive=(args.front or default_front) == "archive",
+                 max_evaluations=args.max_evaluations,
+                 literal_eq15=args.literal_eq15)
     front_to_csv(report, args.out)
     _sidecar(args.out, argv, seed=args.seed, instance_hash=report.instance_hash,
              algorithm=report.algorithm, params=report.params,
@@ -235,12 +227,7 @@ def _cmd_tune(args, argv) -> int:
             levels = json.loads(Path(args.levels).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"{args.levels}: bad JSON ({exc})") from exc
-    try:
-        report = tune(inst, levels, args.seed, threads=args.threads)
-    except BadParams as exc:
-        # tune checks the level table and its 25 parameter sets before any
-        # run, so this is an option value out of range: a usage error
-        raise ParseError(f"{args.levels}: {exc}") from None
+    report = tune(inst, levels, args.seed, threads=args.threads)
     json_path, _ = write_tuning_files(report, args.out_dir)
     _sidecar(str(json_path), argv, seed=args.seed,
              instance_hash=instance_hash(inst))
@@ -282,45 +269,45 @@ def _cmd_sweep(args, argv) -> int:
     return 0
 
 
-def _read_influence_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
+def _danp_table(path: str, what: str, ints: int = 0):
+    """Yield a DANP input table's header cells, then each row's numbers (the
+    first `ints` whole, the rest floats); a row is read only when the caller
+    asks for it, so the caller checks the header first."""
     rows = numbered_lines(path)
     if not rows:
-        raise ParseError("influence CSV is empty")
-    criteria = tuple(name.strip() for name in rows[0][1].split(","))
-    matrix = []
+        raise ParseError(f"{what} CSV is empty")
+    header = [cell.strip() for cell in rows[0][1].split(",")]
+    yield header
     for lineno, line in rows[1:]:
-        parts = line.split(",")
-        if len(parts) != len(criteria):
-            raise ParseError(f"line {lineno}: expected {len(criteria)} columns")
+        cells = [cell.strip() for cell in line.split(",")]
+        if len(cells) != len(header):
+            raise ParseError(f"line {lineno}: expected {len(header)} columns")
         try:
-            matrix.append([float(x) for x in parts])
+            numbers = [int(x) if k < ints else float(x)
+                       for k, x in enumerate(cells)]
         except ValueError as exc:
             raise ParseError(f"line {lineno}: bad number ({exc})") from exc
+        yield numbers
+
+
+def _read_influence_csv(path: str) -> tuple[tuple[str, ...], np.ndarray]:
+    table = _danp_table(path, "influence")
+    criteria = tuple(next(table))
+    matrix = list(table)
     if len(matrix) != len(criteria):
         raise ParseError(f"need {len(criteria)} matrix rows, got {len(matrix)}")
     return criteria, np.array(matrix)
 
 
 def _read_scores_csv(path: str, criteria: tuple[str, ...]) -> danp_mod.CriterionScores:
-    rows = numbered_lines(path)
-    if not rows:
-        raise ParseError("scores CSV is empty")
-    header = [h.strip() for h in rows[0][1].split(",")]
+    table = _danp_table(path, "scores", ints=2)
+    header = next(table)
     if header[:2] != ["activity", "mode"]:
         raise ParseError("scores CSV must start with activity,mode columns")
     names = tuple(header[2:])
     if set(names) != set(criteria):
         raise ParseError("scores CSV criteria must match the influence matrix")
-    entries: dict = {}
-    for lineno, line in rows[1:]:
-        parts = [x.strip() for x in line.split(",")]
-        if len(parts) != len(header):
-            raise ParseError(f"line {lineno}: expected {len(header)} columns")
-        try:
-            key = (int(parts[0]), int(parts[1]))
-            entries[key] = {c: float(v) for c, v in zip(names, parts[2:])}
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: bad number ({exc})") from exc
+    entries = {(row[0], row[1]): dict(zip(names, row[2:])) for row in table}
     return danp_mod.CriterionScores(criteria=names, entries=entries)
 
 
@@ -360,6 +347,10 @@ _HANDLERS = {
     "metrics": _cmd_metrics, "tune": _cmd_tune, "sweep": _cmd_sweep,
     "danp": _cmd_danp, "eval": _cmd_eval,
 }
+#: commands whose entry points check every option value before any work,
+#: so their BadParams is an option out of range (exit 2); elsewhere it
+#: comes from file contents (exit 1)
+_OPTION_CHECKED = {"gen", "solve", "tune", "oracle", "sweep"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -368,12 +359,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args, argv)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except CrashplanError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        usage = isinstance(exc, ParseError) or (
+            isinstance(exc, BadParams) and args.command in _OPTION_CHECKED)
+        return 2 if usage else 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,5 +1,6 @@
 """Problem instances: domain types, validation, CPM time windows, JSON IO,
-and a deterministic synthetic-instance generator.
+the one rule that turns a seed into a random stream, and a deterministic
+synthetic-instance generator.
 
 An instance holds the activity network (dummy start = activity 1, dummy
 end = activity n), the per-mode duration/cost/quality/resource data, and
@@ -524,7 +525,20 @@ def instance_hash(inst: ProjectInstance) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Synthetic instances
+# Seeds and synthetic instances
+
+def seed_sequence(seed: int, *key: int) -> np.random.SeedSequence:
+    """The stream root of (seed, spawn key): the only place a seed becomes
+    a SeedSequence.  Raises BadParams for a negative seed."""
+    if seed < 0:
+        raise BadParams(f"seed must be >= 0, got {seed}")
+    return np.random.SeedSequence(entropy=seed, spawn_key=key)
+
+
+def make_rng(seed: int, *key: int) -> np.random.Generator:
+    """Pre-split RNG stream: one generator per (seed, spawn-key) pair."""
+    return np.random.Generator(np.random.PCG64(seed_sequence(seed, *key)))
+
 
 def generate_instance(seed: int, n: int, max_modes: int, density: float,
                       *,
@@ -546,8 +560,6 @@ def generate_instance(seed: int, n: int, max_modes: int, density: float,
 
     budget_slack is the extra initial capital as a fraction of the price.
     """
-    if seed < 0:
-        raise BadParams(f"seed must be >= 0, got {seed}")
     if n < 3:
         raise BadParams(f"n must be >= 3, got {n}")
     if max_modes < 1:
@@ -566,7 +578,7 @@ def generate_instance(seed: int, n: int, max_modes: int, density: float,
         raise BadParams(f"payment_count must be in [1, n = {n}], "
                         f"got {payment_count}")
 
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = make_rng(seed)
     reals = list(range(2, n))
 
     succ: dict[int, set[int]] = {i: set() for i in range(1, n + 1)}

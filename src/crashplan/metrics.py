@@ -45,9 +45,10 @@ class ReferenceBounds:
 
     @staticmethod
     def from_fronts(*fronts: Front) -> "ReferenceBounds":
-        pts = np.vstack([_points(f) for f in fronts if f.members])
-        if pts.size == 0:
+        nonempty = [_points(f) for f in fronts if f.members]
+        if not nonempty:
             raise BadParams("no members in any reference front")
+        pts = np.vstack(nonempty)
         lo = pts.min(axis=0)
         hi = pts.max(axis=0)
         best = (lo[0], lo[1], hi[2])  # minimize npv and time, maximize productivity

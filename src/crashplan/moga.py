@@ -18,7 +18,8 @@ import numpy as np
 from .errors import BadParams, InitTimeout
 from .evaluate import (Chromosome, DecodedSchedule, ObjectiveVector,
                        decode_schedule, evaluate, evaluate_variant)
-from .instance import ProjectInstance, compute_time_windows, instance_hash
+from .instance import (ProjectInstance, compute_time_windows, instance_hash,
+                       make_rng)
 from .pareto import (ParetoArchive, group_by_rank, nondominated_sort,
                      pareto_filter)
 from .reporting import FrontReport
@@ -64,12 +65,6 @@ class MogaParams(SolverParams):
 def frac_count(rate: float, pop_size: int) -> int:
     """ceil(rate * pop_size) with a guard against float fuzz (0.05*100 -> 5)."""
     return math.ceil(rate * pop_size - 1e-9)
-
-
-def make_rng(seed: int, *key: int) -> np.random.Generator:
-    """Pre-split RNG stream: one generator per (seed, spawn-key) pair."""
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=key)))
 
 
 class Evaluator:
@@ -279,20 +274,15 @@ def draw_feasible(inst: ProjectInstance, rng: np.random.Generator, evaluator,
         f"failures: {histogram}", histogram)
 
 
-def init_population(inst: ProjectInstance, params: SolverParams,
-                    *, attempts_factor: int = ATTEMPTS_FACTOR,
-                    rng: np.random.Generator | None = None,
-                    evaluator=None) -> list[Chromosome]:
-    """Rejection-sample pop_size distinct chromosomes with valid_number 3."""
-    params.validate()
-    if rng is None:
-        rng = make_rng(params.seed, 0)
-    if evaluator is None:
-        evaluator = Evaluator(inst)
-    budget = attempts_factor * params.pop_size
+def init_population(inst: ProjectInstance, pop_size: int,
+                    rng: np.random.Generator, evaluator,
+                    budget: int) -> list[Chromosome]:
+    """Rejection-sample pop_size distinct chromosomes with valid_number 3,
+    within `budget` draws counted by the evaluator (at least one draw per
+    member)."""
     population: list[Chromosome] = []
     seen: set[Chromosome] = set()
-    while len(population) < params.pop_size:
+    while len(population) < pop_size:
         chrom, _ = draw_feasible(inst, rng, evaluator, seen,
                                  budget - evaluator.count
                                  if budget > evaluator.count else 1)
@@ -365,9 +355,10 @@ def evolve(inst: ProjectInstance, params: SolverParams, algorithm: str,
     attempts), then calls on_generation(gen, chromosomes, archive_front).
     max_evaluations is checked after each generation, so a run overshoots
     it by up to one generation (initialisation alone may exceed it).
-    Before any draw, parameters out of range or a max_evaluations below 1
-    raise BadParams and a deadline below the fully crashed makespan
-    raises InfeasibleInstance.
+    Before any draw, parameters out of range, a negative seed or a
+    max_evaluations below 1 raise BadParams and a deadline below the fully
+    crashed makespan raises InfeasibleInstance.  Initialisation, and each
+    fresh draw after it, may take ATTEMPTS_FACTOR * pop_size evaluations.
     """
     t0 = time.perf_counter()
     params.validate()
@@ -378,8 +369,8 @@ def evolve(inst: ProjectInstance, params: SolverParams, algorithm: str,
     evaluator = Evaluator(inst, archive, literal_eq15)
     attempts = ATTEMPTS_FACTOR * params.pop_size
 
-    chroms = init_population(inst, params, rng=make_rng(params.seed, 0),
-                             evaluator=evaluator)
+    chroms = init_population(inst, params.pop_size, make_rng(params.seed, 0),
+                             evaluator, attempts)
     pop = [(c, evaluator(c)[0]) for c in chroms]
 
     for gen in range(1, params.iterations + 1):

@@ -37,7 +37,7 @@ import math
 import time
 from operator import add, le
 
-from .errors import NoFeasible, SpaceTooLarge
+from .errors import BadParams, NoFeasible, SpaceTooLarge
 from .evaluate import Chromosome, _settle
 from .instance import (ProjectInstance, compute_time_windows, forward_pass,
                        instance_hash, topological_order)
@@ -63,9 +63,11 @@ def true_pareto_front(inst: ProjectInstance,
 
     `evaluations` is the size of the search space; `params["scored"]`
     counts the points that passed both bounds and were scored.  A
-    deadline below the fully crashed makespan raises InfeasibleInstance,
-    a NoFeasible, before the walk.
+    max_points below 1 raises BadParams, and a deadline below the fully
+    crashed makespan InfeasibleInstance, a NoFeasible, before the walk.
     """
+    if max_points < 1:
+        raise BadParams(f"max_points must be >= 1, got {max_points}")
     size = search_space_size(inst)
     if size > max_points:
         raise SpaceTooLarge(

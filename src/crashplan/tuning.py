@@ -7,10 +7,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .errors import BadParams
-from .instance import ProjectInstance
+from .instance import ProjectInstance, seed_sequence
 from .metrics import ReferenceBounds, mid
 from .moga import MogaParams, run_moga
 from .reporting import fmt_float, write_json, write_lines
@@ -70,15 +68,13 @@ def _row_params(levels: dict[str, list], row: tuple[int, ...],
 
 
 def _row_seed(base_seed: int, row_index: int) -> int:
-    state = np.random.SeedSequence(entropy=base_seed,
-                                   spawn_key=(row_index,)).generate_state(1)
-    return int(state[0])
+    return int(seed_sequence(base_seed, row_index).generate_state(1)[0])
 
 
 def l25_design(levels: dict[str, list], seed: int = 0) -> list[MogaParams]:
     """The 25 concrete parameter sets prescribed by the orthogonal array;
-    BadParams unless `levels` holds five levels of each factor and every
-    set is in range."""
+    BadParams unless `levels` holds five levels of each factor, every set
+    is in range and the seed is not negative."""
     _check_levels(levels)
     design = [_row_params(levels, row, _row_seed(seed, k))
               for k, row in enumerate(L25)]

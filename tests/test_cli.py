@@ -451,6 +451,23 @@ class TestBadArgumentValues:
         assert len(lines) == 1 and "line 3" in lines[0] and message in lines[0]
         assert not out.exists()
 
+    def test_metrics_empty_normalizing_reference(self, tmp_path):
+        # a header-only reference file has no range to normalize by: a
+        # domain error from the file's contents (exit 1), not a traceback
+        good = tmp_path / "good.csv"
+        good.write_text("solution,npv_cost,makespan,productivity,valid_number\n"
+                        "1|1|0:2|1|2:3|1|3:4|1|0,100,5,0.1,3\n")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("solution,npv_cost,makespan,productivity,valid_number\n")
+        out = tmp_path / "r.json"
+        result = run_cli("metrics", "--front-a", str(good), "--front-b",
+                         str(good), "--reference", str(empty), "--normalize",
+                         "--out", str(out))
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.strip().splitlines() == [
+            "error: no members in any reference front"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("param,values,bad", [
         ("deadline", "10,x", "'x'"),
         ("deadline", "4.5", "'4.5'"),
@@ -494,6 +511,41 @@ class TestBadArgumentValues:
                          "--out", str(out))
         self.assert_usage_error(result)
         assert len(result.stderr.strip().splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ("gen", "--activities", "6", "--modes", "2", "--out"),
+        ("solve", "--algo", "moga", "--pop", "4", "--iterations", "1",
+         "--instance", "TOY4", "--out"),
+        ("solve", "--algo", "nsga2", "--pop", "4", "--iterations", "1",
+         "--instance", "TOY4", "--out"),
+        ("tune", "--threads", "1", "--instance", "TOY4", "--out-dir"),
+    ], ids=["gen", "solve-moga", "solve-nsga2", "tune"])
+    def test_negative_seed(self, toy4_path, tmp_path, command):
+        # one seed rule for every command that draws: refused before any
+        # draw, with the seed named and no other prefix
+        out = tmp_path / "out"
+        argv = [str(toy4_path) if a == "TOY4" else a for a in command]
+        result = run_cli(*argv, str(out), "--seed", "-1")
+        self.assert_usage_error(result)
+        lines = result.stderr.strip().splitlines()
+        assert lines == ["error: seed must be >= 0, got -1"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ("oracle",), ("sweep", "--param", "deadline", "--values", "3,8"),
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("max_points", ["0", "-1"])
+    def test_max_points_below_one(self, toy4_path, tmp_path, command,
+                                  max_points):
+        # a budget cap out of range is a usage error, as --max-evaluations 0
+        # is, not a search space too large for it
+        out = tmp_path / "out.csv"
+        result = run_cli(*command, "--instance", str(toy4_path),
+                         f"--max-points={max_points}", "--out", str(out))
+        self.assert_usage_error(result)
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and "max_points must be >= 1" in lines[0]
         assert not out.exists()
 
     def test_nsga2_option_out_of_range(self, toy4_path, tmp_path):

@@ -1,14 +1,17 @@
 """Fuzz test of the CLI's error contract on edited instance files and on
 generator options.
 
-Each example makes one to three JSON-level edits to toy4 (replace a value
-anywhere in the document, delete an object key or a list item, append to
-a list or cut it short) and runs `eval`, `oracle`, `solve` and both
-sweeps in-process on the result; a second test runs `gen` with each
-option drawn from values in and out of its range.  Every run must exit
-0, 1 or 2, and a nonzero exit must print exactly one `error:` line and no
-traceback.  Integers stay small, so that no edit asks for a search space
-or a duration range the size of memory.
+Each example makes one to three JSON-level edits to toy4 or to the
+instance of `gen --seed 4 --activities 6 --modes 2` (replace a value
+anywhere in the document, step a number by -2..2, delete an object key or
+a list item, append to a list or cut it short) and runs `eval`, `oracle`, `solve`, `tune` (with
+criterion 10's tiny level table) and both sweeps in-process on the
+result, `solve` and `tune` each with a seed drawn from a range that
+includes negatives; a second test runs `gen` with each option drawn from
+values in and out of its range.  Every run must exit 0, 1 or 2, and a
+nonzero exit must print exactly one `error:` line and no traceback.
+Integers stay small, so that no edit asks for a search space or a
+duration range the size of memory.
 """
 
 import contextlib
@@ -19,10 +22,23 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from crashplan.cli import main
+from crashplan.evaluate import baseline_chromosome, format_solution
+from crashplan.instance import generate_instance, instance_to_dict
 
 from conftest import TOY4_PATH
 
 TOY4 = json.loads(TOY4_PATH.read_text())
+GEN4 = generate_instance(4, 6, 2, 0.4)  # gen --seed 4 --activities 6 --modes 2
+#: the edit bases, each with a chromosome for `eval`
+BASES = ((TOY4, "1|1|0:2|1|4:3|1|5:4|1|0"),
+         (instance_to_dict(GEN4), format_solution(baseline_chromosome(GEN4))))
+SEEDS = st.integers(-3, 20)
+#: criterion 10's level table: 25 runs of at most 8 members and 3 iterations
+LEVELS = ('{"elitism_rate": [0.0, 0.05, 0.1, 0.15, 0.2],'
+          ' "hill_climb_rate": [0.0, 0.1, 0.2, 0.3, 0.4],'
+          ' "mutation_rate": [0.2, 0.3, 0.4, 0.5, 0.6],'
+          ' "crossover_rate": [0.4, 0.5, 0.6, 0.7, 0.8],'
+          ' "iterations": [1, 2, 2, 3, 3], "pop_size": [4, 5, 6, 7, 8]}')
 
 SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 12),
@@ -32,10 +48,7 @@ VALUES = st.one_of(
     st.dictionaries(st.text(max_size=3), SCALARS, max_size=2))
 
 COMMANDS = [
-    ("eval", "--chromosome", "1|1|0:2|1|4:3|1|5:4|1|0"),
     ("oracle",),
-    ("solve", "--algo", "moga", "--seed", "1", "--pop", "4",
-     "--iterations", "2"),
     ("sweep", "--param", "deadline", "--values", "3,8"),
     ("sweep", "--param", "discount", "--values", "0,0.05"),
 ]
@@ -55,8 +68,9 @@ GEN_OPTIONAL = {"--density": st.one_of(st.floats(-0.5, 1.5), FLOATS),
 
 
 @st.composite
-def edited_toy4(draw):
-    data = json.loads(json.dumps(TOY4))
+def edited_instance(draw):
+    base, chromosome = draw(st.sampled_from(BASES))
+    data = json.loads(json.dumps(base))
     for _ in range(draw(st.integers(1, 3))):
         # walk down from a top-level key, one random child at a time;
         # "activities" holds most of the document, so about half the walks
@@ -70,28 +84,47 @@ def edited_toy4(draw):
             parent = parent[key]
             key = draw(st.sampled_from(list(parent) if isinstance(parent, dict)
                                        else range(len(parent))))
-        kind = draw(st.sampled_from(["set", "delete", "append", "truncate"]))
+        kind = draw(st.sampled_from(["set", "delete", "append", "truncate",
+                                     "nudge"]))
         if kind == "delete":
             del parent[key]
+        elif type(parent[key]) in (int, float) and kind == "nudge":
+            # a small step often keeps the file valid, so the runs get
+            # past loading
+            parent[key] += draw(st.integers(-2, 2))
         elif isinstance(parent[key], list) and kind == "append":
             parent[key].append(draw(VALUES))
         elif isinstance(parent[key], list) and kind == "truncate":
             del parent[key][draw(st.integers(0, len(parent[key]))):]
         else:
             parent[key] = draw(VALUES)
-    return data
+    return data, chromosome
 
 
 @settings(derandomize=True, deadline=None, max_examples=60,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=edited_toy4())
-@example(data={**TOY4, "activities": []})
-def test_edited_instance_exits_cleanly(tmp_path, data):
+@given(case=edited_instance(), solve_seed=SEEDS, tune_seed=SEEDS)
+@example(case=({**TOY4, "activities": []}, BASES[0][1]), solve_seed=1,
+         tune_seed=1)
+@example(case=BASES[0], solve_seed=-1, tune_seed=3)
+@example(case=BASES[1], solve_seed=2, tune_seed=-1)
+def test_edited_instance_exits_cleanly(tmp_path, case, solve_seed, tune_seed):
+    data, chromosome = case
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(data))
+    levels = tmp_path / "levels.json"
+    levels.write_text(LEVELS)
+    given_instance = ["--instance", str(inst)]
+    out = [*given_instance, "--out", str(tmp_path / "out")]
     for command in COMMANDS:
-        assert_clean_exit([*command, "--instance", str(inst),
-                           "--out", str(tmp_path / "out")], data)
+        assert_clean_exit([*command, *out], data)
+    assert_clean_exit(["eval", "--chromosome", chromosome, *out], data)
+    # "--seed=-1": a separate "-1" could read as an option name
+    assert_clean_exit(["solve", "--algo", "moga", f"--seed={solve_seed}",
+                       "--pop", "4", "--iterations", "2", *out], data)
+    assert_clean_exit(["tune", f"--seed={tune_seed}", "--levels", str(levels),
+                       "--threads", "1", *given_instance,
+                       "--out-dir", str(tmp_path / "tune")], data)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100,

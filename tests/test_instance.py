@@ -1,14 +1,15 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from crashplan.errors import BadParams, InfeasibleInstance, ParseError
 from crashplan.evaluate import baseline_chromosome, evaluate
 from crashplan.instance import (compute_time_windows, generate_instance,
-                                instance_to_dict, load_instance,
-                                save_instance, topological_order,
-                                validate_instance)
+                                instance_to_dict, load_instance, make_rng,
+                                save_instance, seed_sequence,
+                                topological_order, validate_instance)
 
 from conftest import dummy, relabel, replace_activity, replace_mode
 
@@ -206,6 +207,18 @@ class TestGenerate:
             generate_instance(-1, 6, 2, 0.5)
         with pytest.raises(BadParams, match="n_resources"):
             generate_instance(1, 6, 2, 0.5, n_resources=-1)
+
+    def test_one_seed_rule(self):
+        # the generator's stream is make_rng(seed), the SeedSequence(seed)
+        # it drew from before the rule moved into seed_sequence
+        a = make_rng(7).integers(1 << 30, size=5)
+        b = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(7))).integers(1 << 30, size=5)
+        assert list(a) == list(b)
+        assert seed_sequence(7, 3).spawn_key == (3,)
+        for key in ((), (0,), (2, 5)):
+            with pytest.raises(BadParams, match="seed must be >= 0, got -1"):
+                make_rng(-1, *key)
 
     @pytest.mark.parametrize("max_normal", [3000, 10000])
     def test_long_horizon_is_bad_params(self, max_normal):

@@ -42,6 +42,20 @@ class TestBestSolutions:
             best_solutions(front_of())
 
 
+class TestReferenceBounds:
+    @pytest.mark.parametrize("fronts", [(), (front_of(),),
+                                        (front_of(), front_of())],
+                             ids=["none", "one-empty", "two-empty"])
+    def test_no_member_in_any_front(self, fronts):
+        with pytest.raises(BadParams, match="no members"):
+            ReferenceBounds.from_fronts(*fronts)
+
+    def test_empty_fronts_are_skipped(self):
+        front = front_of((100, 9, 0.3), (120, 5, 0.2))
+        assert ReferenceBounds.from_fronts(front_of(), front) \
+            == ReferenceBounds.from_fronts(front)
+
+
 class TestMid:
     def test_single_point_is_ideal(self):
         assert mid(front_of((100, 5, 0.3))) == pytest.approx(0.0, abs=1e-12)

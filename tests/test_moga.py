@@ -7,11 +7,11 @@ from crashplan.errors import BadParams, InitTimeout
 from crashplan.evaluate import Chromosome, decode_schedule, evaluate
 from crashplan import moga
 from crashplan.instance import ActivityMode, generate_instance
-from crashplan.moga import (MogaParams, crossover, frac_count, hill_climb,
-                            init_population, make_rng, mutate,
-                            random_chromosome, replace_gene, run_moga,
+from crashplan.moga import (ATTEMPTS_FACTOR, Evaluator, MogaParams, crossover,
+                            frac_count, hill_climb, init_population, make_rng,
+                            mutate, random_chromosome, replace_gene, run_moga,
                             tournament_select)
-from crashplan.nsga2 import Nsga2Params
+from crashplan.nsga2 import Nsga2Params, run_nsga2
 from crashplan.oracle import true_pareto_front
 from crashplan.pareto import ParetoArchive
 
@@ -57,28 +57,36 @@ class TestRandomChromosome:
         assert seen == {1, 2}  # P(miss) < 1e-9 for a fair mode coin
 
 
+def _init(inst, seed, pop_size, attempts_factor=ATTEMPTS_FACTOR):
+    """Generation 0 as evolve draws it."""
+    return init_population(inst, pop_size, make_rng(seed, 0), Evaluator(inst),
+                           attempts_factor * pop_size)
+
+
 class TestInitPopulation:
     def test_toy4_population(self, toy4):
-        pop = init_population(toy4, MogaParams(seed=5, pop_size=10, iterations=1))
+        pop = _init(toy4, 5, 10)
         assert len(pop) == 10
         assert len(set(pop)) == 10
         for c in pop:
             assert evaluate(toy4, c)[1].valid_number == 3
 
     def test_same_seed_same_population(self, toy4):
-        p1 = init_population(toy4, MogaParams(seed=6, pop_size=8, iterations=1))
-        p2 = init_population(toy4, MogaParams(seed=6, pop_size=8, iterations=1))
-        assert p1 == p2
+        assert _init(toy4, 6, 8) == _init(toy4, 6, 8)
 
     def test_nsga2_params_draw_the_same_population(self, toy4):
-        assert init_population(toy4, Nsga2Params(seed=6, pop_size=8)) \
-            == init_population(toy4, MogaParams(seed=6, pop_size=8))
+        # generation 0 only: both solvers draw it through evolve
+        moga_run = run_moga(toy4, MogaParams(seed=6, pop_size=8, iterations=0))
+        nsga2_run = run_nsga2(toy4, Nsga2Params(seed=6, pop_size=8,
+                                                iterations=0),
+                              use_archive=True)
+        assert nsga2_run.front == moga_run.front
+        assert nsga2_run.evaluations == moga_run.evaluations
 
     def test_timeout_on_infeasible_instance(self, toy4):
         hopeless = replace(toy4, deadline=2)  # crash makespan is 3
         with pytest.raises(InitTimeout) as err:
-            init_population(hopeless, MogaParams(seed=1, pop_size=5, iterations=1),
-                            attempts_factor=20)
+            _init(hopeless, 1, 5, attempts_factor=20)
         assert err.value.histogram["time"] > 0
 
 

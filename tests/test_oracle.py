@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from crashplan.errors import (InfeasibleInstance, NoFeasible, SpaceTooLarge,
-                             ZeroCost)
+from crashplan.errors import (BadParams, InfeasibleInstance, NoFeasible,
+                             SpaceTooLarge, ZeroCost)
 from crashplan.evaluate import Chromosome, evaluate
 from crashplan.instance import ActivityMode, generate_instance, topological_order
 from crashplan.oracle import search_space_size, true_pareto_front
@@ -107,6 +107,12 @@ class TestTrueParetoFront:
         with pytest.raises(SpaceTooLarge) as err:
             true_pareto_front(toy4, max_points=10)
         assert err.value.space_size == 15
+
+    @pytest.mark.parametrize("max_points", [0, -5])
+    def test_max_points_below_one_is_bad_params(self, toy4, max_points):
+        # refused as a parameter out of range, before the space is sized
+        with pytest.raises(BadParams, match="max_points must be >= 1"):
+            true_pareto_front(toy4, max_points=max_points)
 
     def test_front_members_feasible_and_reachable(self, toy4):
         report = true_pareto_front(toy4)

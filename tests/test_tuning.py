@@ -48,6 +48,10 @@ class TestDesign:
         assert runs[0].iterations == 500
         assert runs[0].pop_size == 20
 
+    def test_negative_seed(self):
+        with pytest.raises(BadParams, match="seed must be >= 0, got -1"):
+            l25_design(DEFAULT_LEVELS, seed=-1)
+
     def test_wrong_dimensionality(self):
         bad = dict(DEFAULT_LEVELS)
         bad["elitism_rate"] = [0.05, 0.1]
