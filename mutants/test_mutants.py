@@ -47,8 +47,10 @@ PAYMENTS = ("tests/test_kernel_property.py::"
 ORACLE = ("tests/test_oracle_property.py::"
           "test_pruned_walk_matches_scoring_every_point",)
 FUZZ = ("tests/test_cli_fuzz.py::test_edited_instance_exits_cleanly",)
+FORMAT = ("tests/test_instance.py::TestIo::test_wrong_kind_leaf_is_named",)
 EVALUATE = "src/crashplan/evaluate.py"
 WALK = "src/crashplan/oracle.py"
+INSTANCE = "src/crashplan/instance.py"
 
 MUTANTS = (
     # the decode walk: each check that makes it the chromosome validator
@@ -95,10 +97,10 @@ MUTANTS = (
     Mutant("oracle-largest-demand-bound", WALK,
            "map(min, zip(*rows))", "map(max, zip(*rows))", ORACLE),
     # the input rules
-    Mutant("validate-no-return-below-two", "src/crashplan/instance.py",
+    Mutant("validate-no-return-below-two", INSTANCE,
            "return v  # the graph checks start at activity 1 and end at n",
            "pass", FUZZ),
-    Mutant("seed-check-dropped", "src/crashplan/instance.py",
+    Mutant("seed-check-dropped", INSTANCE,
            '    if seed < 0:\n'
            '        raise BadParams(f"seed must be >= 0, got {seed}")\n',
            "", ("tests/test_cli.py::TestBadArgumentValues::test_negative_seed",
@@ -111,6 +113,13 @@ MUTANTS = (
            "if max_points < 1:", "if max_points < 0:",
            ("tests/test_oracle.py::TestTrueParetoFront::"
             "test_max_points_below_one_is_bad_params",)),
+    # the instance file format's number rule
+    Mutant("whole-number-accepts-fraction", INSTANCE,
+           "return is_number(x) and (isinstance(x, int) or x.is_integer())",
+           "return is_number(x)", FORMAT),
+    Mutant("flag-accepts-any-value", INSTANCE,
+           "FLAG: (lambda x: isinstance(x, bool), bool)}",
+           "FLAG: (lambda x: True, bool)}", FORMAT),
 )
 
 

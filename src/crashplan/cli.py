@@ -9,11 +9,9 @@ instance hash, and tool version needed to reproduce the output.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -21,8 +19,8 @@ from . import danp as danp_mod
 from .errors import BadParams, CrashplanError, ParseError
 from .evaluate import (baseline_chromosome, compute_payments, decode_schedule,
                        evaluate, parse_solution)
-from .instance import (generate_instance, instance_hash, load_instance,
-                       save_instance, validate_instance)
+from .instance import (checked, generate_instance, instance_hash,
+                       load_instance, read_json, save_instance)
 from .metrics import CSV_HEADER, best_solutions, compare_report
 from .moga import MogaParams, run_moga
 from .nsga2 import Nsga2Params, run_nsga2
@@ -221,26 +219,12 @@ def _parse_grid(values: str, kind) -> list:
 
 def _cmd_tune(args, argv) -> int:
     inst = load_instance(args.instance)
-    levels = None
-    if args.levels:
-        try:
-            levels = json.loads(Path(args.levels).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{args.levels}: bad JSON ({exc})") from exc
+    levels = read_json(args.levels) if args.levels else None
     report = tune(inst, levels, args.seed, threads=args.threads)
     json_path, _ = write_tuning_files(report, args.out_dir)
     _sidecar(str(json_path), argv, seed=args.seed,
              instance_hash=instance_hash(inst))
     return 0
-
-
-def _sweep_variant(inst, field: str, value):
-    """inst with one field replaced, held to the same rules as a loaded file."""
-    variant = replace(inst, **{field: value})
-    violations = validate_instance(variant)
-    if violations:
-        raise ParseError(f"--values {value}: {violations[0]}")
-    return variant
 
 
 def _cmd_sweep(args, argv) -> int:
@@ -249,7 +233,8 @@ def _cmd_sweep(args, argv) -> int:
     if args.param == "deadline":
         lines.append("deadline,best_npv,best_time,best_productivity,front_size")
         for deadline in _parse_grid(args.values, int):
-            variant = _sweep_variant(inst, "deadline", deadline)
+            variant = checked(replace(inst, deadline=deadline),
+                              f"--values {deadline}")
             front = true_pareto_front(variant, max_points=args.max_points).front
             npv, makespan, prod = best_solutions(front)
             lines.append(f"{deadline},{fmt_float(npv)},{makespan},"
@@ -259,7 +244,8 @@ def _cmd_sweep(args, argv) -> int:
                  else baseline_chromosome(inst))
         lines.append("discount_rate,npv_cost,makespan,productivity,valid_number")
         for rate in _parse_grid(args.values, float):
-            variant = _sweep_variant(inst, "interest_rate", rate)
+            variant = checked(replace(inst, interest_rate=rate),
+                              f"--values {rate}")
             obj, rep = evaluate(variant, chrom)
             lines.append(f"{fmt_float(rate)},{fmt_float(obj.npv_cost)},"
                          f"{obj.makespan},{fmt_float(obj.productivity)},"
@@ -358,6 +344,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ParseError(f"--threads must be >= 1, got {args.threads}")
         return _HANDLERS[args.command](args, argv)
     except CrashplanError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -119,26 +119,35 @@ def quality_patch(quality: dict) -> dict:
 
 
 def apply_quality_patch(inst, patch: dict):
-    """Return a copy of the instance with patched mode qualities."""
+    """Return a copy of the instance with patched mode qualities; BadParams
+    for a key that names no activity or mode, a quality that is not a
+    number, or the first rule the patched instance breaks."""
     from dataclasses import replace
 
-    from .instance import ProjectInstance  # local import keeps danp standalone
+    from .instance import checked, is_number  # local import keeps danp standalone
 
     if patch.get("schema_version") != 1 or "quality" not in patch:
         raise BadParams("not a quality patch file")
     activities = list(inst.activities)
     for act_key, per_mode in patch["quality"].items():
-        idx = int(act_key) - 1
-        if not (0 <= idx < len(activities)):
-            raise BadParams(f"patch references unknown activity {act_key}")
-        act = activities[idx]
-        modes = list(act.modes)
+        idx = _patch_index(act_key, activities, f"activity {act_key}")
+        modes = list(activities[idx].modes)
         for mode_key, q in per_mode.items():
-            m = int(mode_key) - 1
-            if not (0 <= m < len(modes)):
-                raise BadParams(f"patch references unknown mode {mode_key} "
-                                f"of activity {act_key}")
+            m = _patch_index(mode_key, modes,
+                             f"mode {mode_key} of activity {act_key}")
+            if not is_number(q):
+                raise BadParams(f"patch quality {q!r} is not a number")
             modes[m] = replace(modes[m], quality=float(q))
-        activities[idx] = replace(act, modes=tuple(modes))
-    assert isinstance(inst, ProjectInstance)
-    return replace(inst, activities=tuple(activities))
+        activities[idx] = replace(activities[idx], modes=tuple(modes))
+    return checked(replace(inst, activities=tuple(activities)), "quality patch")
+
+
+def _patch_index(key, items: list, what: str) -> int:
+    """The index of a patch key, which counts items from 1, or BadParams."""
+    try:
+        index = int(key) - 1
+    except ValueError:
+        index = -1
+    if not 0 <= index < len(items):
+        raise BadParams(f"patch references unknown {what}")
+    return index

@@ -1,6 +1,7 @@
-"""Problem instances: domain types, validation, CPM time windows, JSON IO,
-the one rule that turns a seed into a random stream, and a deterministic
-synthetic-instance generator.
+"""Problem instances: domain types, validation, CPM time windows, the file
+format (field tables, number rule, input-file reader), the check of an
+instance built in code, the one rule that turns a seed into a random
+stream, and a deterministic synthetic-instance generator.
 
 An instance holds the activity network (dummy start = activity 1, dummy
 end = activity n), the per-mode duration/cost/quality/resource data, and
@@ -373,149 +374,145 @@ def compute_time_windows(inst: ProjectInstance) -> TimeWindows:
 
 
 # ---------------------------------------------------------------------------
-# JSON schema
+# JSON format: one field table per object level, which one walk reads,
+# checks and writes
 
-_TOP_KEYS = {
-    "schema_version", "activities", "resource_capacity", "interest_rate",
-    "overhead", "prepay_ratio", "compensation_ratio", "deadline", "price",
-    "initial_capital", "quality_blend", "payment_count",
-}
-_ACT_KEYS = {"id", "successors", "earned_value", "is_dummy", "modes"}
-_MODE_KEYS = {"normal_duration", "crash_duration", "normal_cost", "cost_slope",
-              "quality", "demands"}
+def is_number(x) -> bool:
+    """An int or a float, not a bool: a number in an input file."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def is_whole(x) -> bool:
+    """A number with an integral value: 4 and 4.0, not 4.7 or inf."""
+    return is_number(x) and (isinstance(x, int) or x.is_integer())
+
+
+#: the scalar kinds, named as a ParseError names them: (test, model type)
+WHOLE, NUMBER, FLAG = "a whole number", "a number", "a boolean"
+_SCALARS = {WHOLE: (is_whole, int), NUMBER: (is_number, float),
+            FLAG: (lambda x: isinstance(x, bool), bool)}
+#: an id array, a resource -> units object, and the unstored schema version
+IDS, COUNTS, VERSION = "ids", "counts", "version"
+
+
+class _Table(NamedTuple):
+    """One object level of the file: its model class and its (name, kind)
+    fields in file order; a field of a _Table kind holds an array of them."""
+
+    model: type
+    fields: tuple[tuple[str, object], ...]
+
+
+_MODE = _Table(ActivityMode, (
+    ("normal_duration", WHOLE), ("crash_duration", WHOLE),
+    ("normal_cost", NUMBER), ("cost_slope", NUMBER), ("quality", NUMBER),
+    ("demands", COUNTS)))
+_ACTIVITY = _Table(Activity, (
+    ("id", WHOLE), ("successors", IDS), ("earned_value", NUMBER),
+    ("is_dummy", FLAG), ("modes", _MODE)))
+_INSTANCE = _Table(ProjectInstance, (
+    ("schema_version", VERSION), ("activities", _ACTIVITY),
+    ("resource_capacity", COUNTS), ("interest_rate", NUMBER),
+    ("overhead", NUMBER), ("prepay_ratio", NUMBER),
+    ("compensation_ratio", NUMBER), ("deadline", WHOLE), ("price", NUMBER),
+    ("initial_capital", NUMBER), ("quality_blend", NUMBER),
+    ("payment_count", WHOLE)))
+
+
+def _read(kind, value, path: str):
+    """The model value of one field, or ParseError naming its path."""
+    if kind is VERSION:
+        if _read(WHOLE, value, path) != SCHEMA_VERSION:
+            raise ParseError(f"{path}: unsupported version {value}")
+        return value
+    if kind in _SCALARS:
+        test, model_type = _SCALARS[kind]
+        if not test(value):
+            raise ParseError(f"{path}: expected {kind}, "
+                             f"got {json.dumps(value, default=repr)}")
+        try:
+            return model_type(value)
+        except OverflowError as exc:
+            raise ParseError(f"{path}: out of range ({exc})") from None
+    if kind is COUNTS:
+        if not isinstance(value, dict):
+            raise ParseError(f"{path}: expected an object")
+        return tuple(sorted((r, _read(WHOLE, u, f"{path}[{r}]"))
+                            for r, u in value.items()))
+    if not isinstance(value, list):
+        raise ParseError(f"{path}: expected an array")
+    if kind is IDS:
+        return frozenset(_read(WHOLE, x, f"{path}[{k}]")
+                         for k, x in enumerate(value))
+    return tuple(_read_object(kind, x, f"{path}[{k}]")
+                 for k, x in enumerate(value))
+
+
+def _read_object(table: _Table, obj, path: str):
+    where = path or "top level"
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object")
+    names = {name for name, _ in table.fields}
+    for problem, keys in (("unknown", set(obj) - names),
+                          ("missing", names - set(obj))):
+        if keys:
+            raise ParseError(f"{where}: {problem} field '{sorted(keys)[0]}'")
+    values = {name: _read(kind, obj[name], f"{path}.{name}" if path else name)
+              for name, kind in table.fields}
+    values.pop("schema_version", None)
+    return table.model(**values)
+
+
+def _write(kind, value):
+    if isinstance(kind, _Table):
+        return [_write_object(kind, item) for item in value]
+    if kind is IDS:
+        return sorted(value)
+    return dict(value) if kind is COUNTS else value
+
+
+def _write_object(table: _Table, obj) -> dict:
+    return {name: SCHEMA_VERSION if kind is VERSION
+            else _write(kind, getattr(obj, name)) for name, kind in table.fields}
 
 
 def instance_to_dict(inst: ProjectInstance) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "activities": [
-            {
-                "id": a.id,
-                "successors": sorted(a.successors),
-                "earned_value": a.earned_value,
-                "is_dummy": a.is_dummy,
-                "modes": [
-                    {
-                        "normal_duration": m.normal_duration,
-                        "crash_duration": m.crash_duration,
-                        "normal_cost": m.normal_cost,
-                        "cost_slope": m.cost_slope,
-                        "quality": m.quality,
-                        "demands": {r: u for r, u in m.demands},
-                    }
-                    for m in a.modes
-                ],
-            }
-            for a in inst.activities
-        ],
-        "resource_capacity": {r: c for r, c in inst.resource_capacity},
-        "interest_rate": inst.interest_rate,
-        "overhead": inst.overhead,
-        "prepay_ratio": inst.prepay_ratio,
-        "compensation_ratio": inst.compensation_ratio,
-        "deadline": inst.deadline,
-        "price": inst.price,
-        "initial_capital": inst.initial_capital,
-        "quality_blend": inst.quality_blend,
-        "payment_count": inst.payment_count,
-    }
+    return _write_object(_INSTANCE, inst)
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ParseError(f"{where}: unknown field '{sorted(unknown)[0]}'")
-    missing = allowed - set(obj)
-    if missing:
-        raise ParseError(f"{where}: missing field '{sorted(missing)[0]}'")
-
-
-def instance_from_dict(data: dict) -> ProjectInstance:
-    if not isinstance(data, dict):
-        raise ParseError("top level: expected a JSON object")
-    _require_keys(data, _TOP_KEYS, "top level")
-    if data["schema_version"] != SCHEMA_VERSION:
-        raise ParseError(f"schema_version: unsupported version {data['schema_version']}")
-    if not isinstance(data["activities"], list):
-        raise ParseError("activities: expected an array")
-    if not isinstance(data["resource_capacity"], dict):
-        raise ParseError("resource_capacity: expected an object")
-    activities = []
-    for pos, raw in enumerate(data["activities"]):
-        where = f"activities[{pos}]"
-        if not isinstance(raw, dict):
-            raise ParseError(f"{where}: expected an object")
-        _require_keys(raw, _ACT_KEYS, where)
-        if not isinstance(raw["modes"], list):
-            raise ParseError(f"{where}.modes: expected an array")
-        if not isinstance(raw["successors"], list):
-            raise ParseError(f"{where}.successors: expected an array")
-        modes = []
-        for k, mraw in enumerate(raw["modes"]):
-            mwhere = f"{where}.modes[{k}]"
-            if not isinstance(mraw, dict):
-                raise ParseError(f"{mwhere}: expected an object")
-            _require_keys(mraw, _MODE_KEYS, mwhere)
-            if not isinstance(mraw["demands"], dict):
-                raise ParseError(f"{mwhere}.demands: expected an object")
-            try:
-                modes.append(ActivityMode(
-                    normal_duration=int(mraw["normal_duration"]),
-                    crash_duration=int(mraw["crash_duration"]),
-                    normal_cost=float(mraw["normal_cost"]),
-                    cost_slope=float(mraw["cost_slope"]),
-                    quality=float(mraw["quality"]),
-                    demands=tuple(sorted((str(r), int(u))
-                                         for r, u in mraw["demands"].items())),
-                ))
-            except (TypeError, ValueError, OverflowError, AttributeError) as exc:
-                raise ParseError(f"{mwhere}: bad value ({exc})") from exc
-        try:
-            activities.append(Activity(
-                id=int(raw["id"]),
-                successors=frozenset(int(s) for s in raw["successors"]),
-                earned_value=float(raw["earned_value"]),
-                modes=tuple(modes),
-                is_dummy=bool(raw["is_dummy"]),
-            ))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ParseError(f"{where}: bad value ({exc})") from exc
-    try:
-        inst = ProjectInstance(
-            activities=tuple(activities),
-            resource_capacity=tuple(sorted((str(r), int(c))
-                                           for r, c in data["resource_capacity"].items())),
-            interest_rate=float(data["interest_rate"]),
-            overhead=float(data["overhead"]),
-            prepay_ratio=float(data["prepay_ratio"]),
-            compensation_ratio=float(data["compensation_ratio"]),
-            deadline=int(data["deadline"]),
-            price=float(data["price"]),
-            initial_capital=float(data["initial_capital"]),
-            quality_blend=float(data["quality_blend"]),
-            payment_count=int(data["payment_count"]),
-        )
-    except (TypeError, ValueError, OverflowError, AttributeError) as exc:
-        raise ParseError(f"top level: bad value ({exc})") from exc
+def instance_from_dict(data) -> ProjectInstance:
+    """The instance a JSON value states; ParseError naming the first field
+    of the wrong kind or the first rule of `validate_instance` it breaks."""
+    inst = _read_object(_INSTANCE, data, "")
     violations = validate_instance(inst)
     if violations:
         raise ParseError(f"{violations[0].field}: {violations[0].rule}")
     return inst
 
 
+def read_text(path: str | Path) -> str:
+    """The text of an input file; ParseError unless it is UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+
+
+def read_json(path: str | Path):
+    """The JSON value of an input file; ParseError names a syntax error's line."""
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
+
+
 def save_instance(inst: ProjectInstance, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(instance_to_dict(inst), indent=2, sort_keys=False) + "\n",
-        encoding="utf-8")
+    from .reporting import write_json  # reporting imports this module
+    write_json(path, instance_to_dict(inst))
 
 
 def load_instance(path: str | Path) -> ProjectInstance:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
-    return instance_from_dict(data)
+    return instance_from_dict(read_json(path))
 
 
 def instance_hash(inst: ProjectInstance) -> str:
@@ -668,15 +665,19 @@ def generate_instance(seed: int, n: int, max_modes: int, density: float,
     from .evaluate import baseline_chromosome, budget_balance, decode_schedule
     baseline = baseline_chromosome(inst)
     makespan = decode_schedule(inst, baseline).makespan
-    inst = _checked(replace(inst, deadline=int(math.ceil(makespan * stretch)) + 1))
+    what = "generator produced invalid instance"
+    inst = checked(replace(inst, deadline=int(math.ceil(makespan * stretch)) + 1),
+                   what)
     deficit = budget_balance(inst, baseline)
     ica = round(max(0.0, deficit) + budget_slack * price, 2)
-    return _checked(replace(inst, initial_capital=ica))
+    return checked(replace(inst, initial_capital=ica), what)
 
 
-def _checked(inst: ProjectInstance) -> ProjectInstance:
-    """inst, or BadParams naming the first rule a generated instance breaks."""
+def checked(inst: ProjectInstance, what: str) -> ProjectInstance:
+    """inst, or BadParams "<what>: <violation>" naming the first rule an
+    instance built in code breaks (a generated instance, a sweep's variant,
+    a patched instance): the same rules a loaded file is held to."""
     violations = validate_instance(inst)
     if violations:
-        raise BadParams(f"generator produced invalid instance: {violations[0]}")
+        raise BadParams(f"{what}: {violations[0]}")
     return inst

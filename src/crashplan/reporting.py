@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .errors import EncodingError, ParseError
 from .evaluate import ObjectiveVector, format_solution, parse_solution
+from .instance import read_text
 from .pareto import Front, FrontMember
 
 TOOL_VERSION = "0.1.0"
@@ -67,7 +68,7 @@ def front_to_csv(report: FrontReport, path: str | Path) -> None:
 
 def numbered_lines(path: str | Path) -> list[tuple[int, str]]:
     """(line number in the file, stripped text) of each non-blank line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     return [(lineno, line.strip()) for lineno, line in enumerate(lines, 1)
             if line.strip()]
 

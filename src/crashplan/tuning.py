@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import BadParams
-from .instance import ProjectInstance, seed_sequence
+from .instance import ProjectInstance, is_number, is_whole, seed_sequence
 from .metrics import ReferenceBounds, mid
 from .moga import MogaParams, run_moga
 from .reporting import fmt_float, write_json, write_lines
@@ -37,7 +37,7 @@ def _check_levels(levels: dict[str, list]) -> None:
     """BadParams unless `levels` maps each factor to five numbers, whole
     numbers for the counts `iterations` and `pop_size`."""
     if not isinstance(levels, dict) or not all(
-            isinstance(v, list) and all(type(x) in (int, float) for x in v)
+            isinstance(v, list) and all(map(is_number, v))
             for v in levels.values()):
         raise BadParams("expected an object mapping each factor to a list "
                         "of numeric levels")
@@ -48,7 +48,7 @@ def _check_levels(levels: dict[str, list]) -> None:
             raise BadParams(f"factor {name} needs 5 levels, got {len(vals)}")
     for name in ("iterations", "pop_size"):
         for x in levels[name]:
-            if isinstance(x, float) and not x.is_integer():
+            if not is_whole(x):
                 raise BadParams(f"factor {name} needs whole-number levels, "
                                 f"got {x}")
 

@@ -353,6 +353,34 @@ class TestUsageErrors:
                          "--out", str(tmp_path / "x.csv"))
         assert result.returncode == 2
 
+    @pytest.mark.parametrize("command", [
+        ("solve", "--algo", "moga", "--seed", "1", "--instance", "BAD",
+         "--out", "OUT"),
+        ("oracle", "--instance", "BAD", "--out", "OUT"),
+        ("eval", "--chromosome", "1|1|0", "--instance", "BAD", "--out", "OUT"),
+        ("sweep", "--param", "deadline", "--values", "8", "--instance", "BAD",
+         "--out", "OUT"),
+        ("tune", "--seed", "1", "--instance", "BAD", "--out-dir", "OUT"),
+        ("tune", "--seed", "1", "--instance", "TOY4", "--levels", "BAD",
+         "--out-dir", "OUT"),
+        ("metrics", "--front-a", "BAD", "--front-b", "BAD", "--out", "OUT"),
+        ("danp", "--influence", "BAD", "--scores", "BAD",
+         "--out-weights", "OUT", "--out-patch", "OUT"),
+    ], ids=["solve", "oracle", "eval", "sweep", "tune", "tune-levels",
+            "metrics", "danp"])
+    def test_file_not_utf8_exits_two(self, toy4_path, tmp_path, command):
+        # every input file is read by one reader, which refuses bytes that
+        # are not UTF-8 text with one error line, not a traceback
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "out"
+        names = {"BAD": str(bad), "TOY4": str(toy4_path), "OUT": str(out)}
+        result = run_cli(*(names.get(arg, arg) for arg in command))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.strip().splitlines() == [
+            f"error: {bad}: not UTF-8 text"]
+        assert not out.exists()
+
 
 LEVELS_WITH_TEXT = (
     '{"elitism_rate": [0.0, 0.05, 0.1, 0.15, 0.2],'
@@ -531,6 +559,29 @@ class TestBadArgumentValues:
         lines = result.stderr.strip().splitlines()
         assert lines == ["error: seed must be >= 0, got -1"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ("solve", "--algo", "moga", "--seed", "1", "--pop", "4",
+         "--iterations", "1", "--out"),
+        ("oracle", "--out"), ("tune", "--seed", "1", "--out-dir"),
+    ], ids=lambda command: command[0])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one(self, toy4_path, tmp_path, command, threads):
+        out = tmp_path / "out"
+        result = run_cli(*command, str(out), "--instance", str(toy4_path),
+                         f"--threads={threads}")
+        self.assert_usage_error(result)
+        assert result.stderr.strip().splitlines() == [
+            f"error: --threads must be >= 1, got {threads}"]
+        assert not out.exists()
+
+    def test_zero_threads_in_the_environment_means_one(self, toy4_path,
+                                                        tmp_path):
+        # the environment's default is clamped to 1, not refused
+        result = run_cli("oracle", "--instance", str(toy4_path),
+                         "--out", str(tmp_path / "o.csv"),
+                         env={"CRASHPLAN_THREADS": "0"})
+        assert result.returncode == 0, result.stderr
 
     @pytest.mark.parametrize("command", [
         ("oracle",), ("sweep", "--param", "deadline", "--values", "3,8"),

@@ -4,9 +4,12 @@ generator options.
 Each example makes one to three JSON-level edits to toy4 or to the
 instance of `gen --seed 4 --activities 6 --modes 2` (replace a value
 anywhere in the document, step a number by -2..2, delete an object key or
-a list item, append to a list or cut it short) and runs `eval`, `oracle`, `solve`, `tune` (with
-criterion 10's tiny level table) and both sweeps in-process on the
-result, `solve` and `tune` each with a seed drawn from a range that
+a list item, append to a list or cut it short), or, in about half the
+examples, only edits that keep every field's kind, so that more files get
+past loading (a whole step of a number in a mode of a real activity, or
+a cut of a capacity or of the deadline).  It runs `eval`, `oracle`, `solve`,
+`tune` (with criterion 10's tiny level table) and both sweeps in-process
+on the result, `solve` and `tune` each with a seed drawn from a range that
 includes negatives; a second test runs `gen` with each option drawn from
 values in and out of its range.  Every run must exit 0, 1 or 2, and a
 nonzero exit must print exactly one `error:` line and no traceback.
@@ -67,10 +70,34 @@ GEN_OPTIONAL = {"--density": st.one_of(st.floats(-0.5, 1.5), FLOATS),
                 "--budget-slack": st.one_of(st.floats(-1, 3), FLOATS)}
 
 
+def numbers_in(value):
+    """(container, key) of every int or float, not bool, under a JSON value."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        if type(item) in (int, float):
+            yield value, key
+        elif isinstance(item, (dict, list)):
+            yield from numbers_in(item)
+
+
 @st.composite
 def edited_instance(draw):
     base, chromosome = draw(st.sampled_from(BASES))
     data = json.loads(json.dumps(base))
+    if draw(st.booleans()):
+        # edits that keep every field's kind, so the runs get past loading
+        for _ in range(draw(st.integers(1, 3))):
+            if draw(st.booleans()):  # a whole step of a number in a mode
+                modes = [a["modes"] for a in data["activities"]
+                         if not a["is_dummy"]]
+                parent, key = draw(st.sampled_from(list(numbers_in(modes))))
+                parent[key] += draw(st.sampled_from([-2, -1, 1, 2]))
+            else:  # a cut of a capacity or of the deadline
+                capacity = data["resource_capacity"]
+                parent, key = draw(st.sampled_from(
+                    [(data, "deadline"), *((capacity, r) for r in capacity)]))
+                parent[key] -= draw(st.integers(1, 3))
+        return data, chromosome
     for _ in range(draw(st.integers(1, 3))):
         # walk down from a top-level key, one random child at a time;
         # "activities" holds most of the document, so about half the walks

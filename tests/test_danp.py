@@ -147,3 +147,19 @@ class TestQualityPatch:
             apply_quality_patch(toy4, {"quality": {}})
         with pytest.raises(BadParams):
             apply_quality_patch(toy4, quality_patch({(9, 1): 10.0}))
+
+    @pytest.mark.parametrize("patch,message", [
+        (quality_patch({(2, 1): 150.0}), "quality patch: activities[1]"),
+        (quality_patch({(2, 1): float("nan")}), "quality patch: activities[1]"),
+        ({"schema_version": 1, "quality": {"x": {"1": 50.0}}},
+         "unknown activity x"),
+        ({"schema_version": 1, "quality": {"2": {"one": 50.0}}},
+         "unknown mode one"),
+        ({"schema_version": 1, "quality": {"2": {"1": "50"}}},
+         "not a number"),
+    ], ids=["q-150", "q-nan", "activity-x", "mode-one", "q-text"])
+    def test_invalid_patch_is_bad_params(self, toy4, patch, message):
+        # a patched instance is held to the rules a loaded file is
+        with pytest.raises(BadParams) as info:
+            apply_quality_patch(toy4, patch)
+        assert message in str(info.value)

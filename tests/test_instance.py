@@ -1,3 +1,4 @@
+import copy
 import json
 from dataclasses import replace
 
@@ -7,14 +8,39 @@ import pytest
 from crashplan.errors import BadParams, InfeasibleInstance, ParseError
 from crashplan.evaluate import baseline_chromosome, evaluate
 from crashplan.instance import (compute_time_windows, generate_instance,
-                                instance_to_dict, load_instance, make_rng,
-                                save_instance, seed_sequence,
-                                topological_order, validate_instance)
+                                instance_from_dict, instance_to_dict,
+                                load_instance, make_rng, save_instance,
+                                seed_sequence, topological_order,
+                                validate_instance)
 
-from conftest import dummy, relabel, replace_activity, replace_mode
+from conftest import TOY4_PATH, dummy, relabel, replace_activity, replace_mode
 
 NAN = float("nan")
 INF = float("inf")
+TOY4_DATA = json.loads(TOY4_PATH.read_text())
+
+
+def leaves(value, path="", keys=()):
+    """(path, keys, value) of every scalar in a JSON value; the path is
+    written as the loader names it: `.name` for a field, `[k]` for an
+    array item and `[r]` for a resource's units."""
+    if isinstance(value, list):
+        for k, item in enumerate(value):
+            yield from leaves(item, f"{path}[{k}]", (*keys, k))
+    elif isinstance(value, dict):
+        units = path.endswith(("demands", "resource_capacity"))
+        for key, item in value.items():
+            sub = f"{path}[{key}]" if units else f"{path}.{key}" if path else key
+            yield from leaves(item, sub, (*keys, key))
+    else:
+        yield path, keys, value
+
+
+#: every leaf of toy4 with each value of another kind: a fraction, a
+#: boolean and a string, less the one of the leaf's own kind (a fraction
+#: is a number, true is a flag)
+WRONG_KIND = [(path, keys, wrong) for path, keys, value in leaves(TOY4_DATA)
+              for wrong in (2.5, True, "7") if type(wrong) is not type(value)]
 
 
 class TestValidate:
@@ -270,6 +296,27 @@ class TestIo:
         path.write_text(json.dumps(data))
         with pytest.raises(ParseError, match="crash_duration"):
             load_instance(path)
+
+    def test_whole_valued_float_loads(self, toy4):
+        data = instance_to_dict(toy4)
+        data["activities"][1]["modes"][0]["normal_duration"] = 4.0
+        data["deadline"] = 8.0
+        assert instance_from_dict(data) == toy4
+
+    @pytest.mark.parametrize("path,keys,wrong", WRONG_KIND,
+                             ids=[f"{path}={wrong!r}"
+                                  for path, _, wrong in WRONG_KIND])
+    def test_wrong_kind_leaf_is_named(self, path, keys, wrong):
+        # a value of another kind is refused, never coerced: 4.7 in a
+        # whole-number field does not load as 4, nor "false" as a dummy
+        data = copy.deepcopy(TOY4_DATA)
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = wrong
+        with pytest.raises(ParseError) as info:
+            instance_from_dict(data)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
