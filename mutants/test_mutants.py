@@ -48,9 +48,12 @@ ORACLE = ("tests/test_oracle_property.py::"
           "test_pruned_walk_matches_scoring_every_point",)
 FUZZ = ("tests/test_cli_fuzz.py::test_edited_instance_exits_cleanly",)
 FORMAT = ("tests/test_instance.py::TestIo::test_wrong_kind_leaf_is_named",)
+CARRIED = ("tests/test_solver_property.py::"
+           "test_carried_objectives_are_the_evaluated_ones",)
 EVALUATE = "src/crashplan/evaluate.py"
 WALK = "src/crashplan/oracle.py"
 INSTANCE = "src/crashplan/instance.py"
+MOGA = "src/crashplan/moga.py"
 
 MUTANTS = (
     # the decode walk: each check that makes it the chromosome validator
@@ -94,8 +97,13 @@ MUTANTS = (
            "if f > latest[k]:", "if f >= latest[k]:", ORACLE),
     Mutant("oracle-leaf-deadline-ge", WALK,
            "if finish[-1] > deadline:", "if finish[-1] >= deadline:", ORACLE),
-    Mutant("oracle-largest-demand-bound", WALK,
+    Mutant("oracle-largest-demand-bound", INSTANCE,
            "map(min, zip(*rows))", "map(max, zip(*rows))", ORACLE),
+    # the hill climb's result carries the objectives it was scored with
+    Mutant("hill-climb-returns-input-objectives", MOGA,
+           "best = [variants[k - 1] for k in range(1, len(ranks)) if ranks[k] == 0]",
+           "best = [(variants[k - 1][0], obj) for k in range(1, len(ranks))"
+           " if ranks[k] == 0]", CARRIED),
     # the input rules
     Mutant("validate-no-return-below-two", INSTANCE,
            "return v  # the graph checks start at activity 1 and end at n",

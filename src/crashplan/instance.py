@@ -17,12 +17,13 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import add
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParams, InfeasibleInstance, ParseError
+from .errors import BadParams, InfeasibleInstance, NoFeasible, ParseError
 
 SCHEMA_VERSION = 1
 
@@ -70,6 +71,9 @@ class CompiledInstance(NamedTuple):
     #: each capacity less the dummies' demand: a dummy has one mode, so its
     #: demand is fixed and the scoring pass sums the real activities only
     capacity_left: tuple[int, ...]
+    #: per k in 0..n, the least demand of the real activities k.. per
+    #: resource, each taking its least demanding mode
+    least_demand: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,12 @@ class ProjectInstance:
             if act.is_dummy:
                 for r, units in act.modes[0].demands:
                     capacity_left[index[r]] -= units
+        least = [(0,) * len(index)] * (self.n + 1)
+        for k in reversed(range(self.n)):
+            least[k] = least[k + 1]
+            if not self.activities[k].is_dummy:
+                rows = (gene[4] for gene in genes[k])
+                least[k] = tuple(map(add, least[k], map(min, zip(*rows))))
         return CompiledInstance(
             real=tuple(k for k, is_dummy in enumerate(self.dummy_flags)
                        if not is_dummy),
@@ -143,7 +153,8 @@ class ProjectInstance:
             rate=1.0 + self.interest_rate,
             share=self.compensation_ratio - self.prepay_ratio,
             prepayment=self.prepay_ratio * self.price,
-            capacity_left=tuple(capacity_left))
+            capacity_left=tuple(capacity_left),
+            least_demand=tuple(least))
 
     @cached_property
     def descendants(self) -> tuple[tuple[int, ...], ...]:
@@ -373,6 +384,18 @@ def compute_time_windows(inst: ProjectInstance) -> TimeWindows:
     )
 
 
+def check_capacities(inst: ProjectInstance) -> None:
+    """Raise NoFeasible naming the first resource whose capacity even the
+    least demanding mode of every activity overruns: then no chromosome is
+    resource-feasible."""
+    view = inst.compiled
+    for (r, cap), left, least in zip(inst.resource_capacity,
+                                     view.capacity_left, view.least_demand[0]):
+        if least > left:
+            raise NoFeasible(f"resource {r}: least total demand "
+                             f"{cap - left + least} exceeds capacity {cap}")
+
+
 # ---------------------------------------------------------------------------
 # JSON format: one field table per object level, which one walk reads,
 # checks and writes
@@ -499,11 +522,12 @@ def read_text(path: str | Path) -> str:
 
 
 def read_json(path: str | Path):
-    """The JSON value of an input file; ParseError names a syntax error's line."""
+    """The JSON value of an input file; ParseError names the file and a
+    syntax error's line."""
     try:
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}: {exc.msg}") from exc
+        raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
 
 
 def save_instance(inst: ProjectInstance, path: str | Path) -> None:

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import BadParams, InitTimeout
 from .evaluate import (Chromosome, DecodedSchedule, ObjectiveVector,
                        decode_schedule, evaluate, evaluate_variant)
-from .instance import (ProjectInstance, compute_time_windows, instance_hash,
-                       make_rng)
+from .instance import (ProjectInstance, check_capacities, compute_time_windows,
+                       instance_hash, make_rng)
 from .pareto import (ParetoArchive, group_by_rank, nondominated_sort,
                      pareto_filter)
 from .reporting import FrontReport
@@ -200,48 +200,46 @@ def replace_gene(chrom: Chromosome, activity_id: int, mode_index: int,
     return Chromosome(chrom.order, tuple(modes), tuple(durations))
 
 
-def hill_climb(inst: ProjectInstance, chrom: Chromosome,
+def hill_climb(inst: ProjectInstance, chrom: Chromosome, obj: ObjectiveVector,
                rng: np.random.Generator | None = None,
-               _eval=None) -> Chromosome:
-    """Per-activity exhaustive improvement in order-string sequence.
+               _eval=None) -> tuple[Chromosome, ObjectiveVector]:
+    """Per-activity exhaustive improvement in order-string sequence, from
+    the input and its objectives evaluate(inst, chrom)[0].
 
     For each activity, every gene of inst.gene_options other than the
-    current one is built as a variant (a dummy has none), and the
-    feasible variants are ranked together with the input; the scan
-    stops at the first activity whose variants strictly outrank the input
-    (ties among best-ranked variants broken uniformly when an RNG is
-    given, else by scan order).  Without improvement the input returns
-    unchanged; the result is never dominated by the input.
+    current one is built as a variant (a dummy has none), and the feasible
+    variants are ranked together with the input; the scan stops at the
+    first activity whose variants strictly outrank the input (ties among
+    best-ranked variants broken uniformly when an RNG is given, else by
+    scan order).  Returns the chosen variant's (chromosome, objectives),
+    or the input's without improvement: never dominated by the input.
 
-    The input is decoded, and so validated, once and scored from that
-    schedule as a variant that changes no gene; each variant is then
-    scored from the same schedule by Evaluator.variant, which re-times
-    only the changed activity and its descendants.  The input and every
-    variant count as one evaluation each.
+    The input is decoded once, which validates it, and not scored; each
+    variant counts as one evaluation, scored from that schedule by
+    Evaluator.variant, which re-times only what the changed gene moves.
     """
     ev = _eval if _eval is not None else Evaluator(inst)
     base = decode_schedule(inst, chrom)
-    base_obj, _ = ev.variant(base, chrom, chrom.order[0])
     for a in chrom.order:
         current = (chrom.modes[a - 1], chrom.durations[a - 1])
-        variants: list[tuple[ObjectiveVector, Chromosome]] = []
+        variants: list[tuple[Chromosome, ObjectiveVector]] = []
         for m_idx, d in inst.gene_options[a - 1]:
             if (m_idx, d) == current:
                 continue
             cand = replace_gene(chrom, a, m_idx, d)
-            obj, rep = ev.variant(base, cand, a)
+            cand_obj, rep = ev.variant(base, cand, a)
             if rep.valid_number == 3:
-                variants.append((obj, cand))
+                variants.append((cand, cand_obj))
         if not variants:
             continue
-        ranks = nondominated_sort([base_obj] + [o for o, _ in variants])
+        ranks = nondominated_sort([obj] + [o for _, o in variants])
         if ranks[0] == 0:
             continue  # nothing dominates the input at this activity
-        best = [variants[k - 1][1] for k in range(1, len(ranks)) if ranks[k] == 0]
+        best = [variants[k - 1] for k in range(1, len(ranks)) if ranks[k] == 0]
         if rng is None or len(best) == 1:
             return best[0]
         return best[int(rng.integers(len(best)))]
-    return chrom
+    return chrom, obj
 
 
 # ---------------------------------------------------------------------------
@@ -275,18 +273,19 @@ def draw_feasible(inst: ProjectInstance, rng: np.random.Generator, evaluator,
 
 
 def init_population(inst: ProjectInstance, pop_size: int,
-                    rng: np.random.Generator, evaluator,
-                    budget: int) -> list[Chromosome]:
+                    rng: np.random.Generator, evaluator, budget: int
+                    ) -> list[tuple[Chromosome, ObjectiveVector]]:
     """Rejection-sample pop_size distinct chromosomes with valid_number 3,
     within `budget` draws counted by the evaluator (at least one draw per
-    member)."""
-    population: list[Chromosome] = []
+    member), as (chromosome, objectives) pairs.  With fewer than pop_size
+    distinct feasible chromosomes this ends in InitTimeout on duplicates:
+    toy4 has 30 chromosomes in all (15 gene assignments, 2 orders)."""
+    population: list[tuple[Chromosome, ObjectiveVector]] = []
     seen: set[Chromosome] = set()
     while len(population) < pop_size:
-        chrom, _ = draw_feasible(inst, rng, evaluator, seen,
-                                 budget - evaluator.count
-                                 if budget > evaluator.count else 1)
-        population.append(chrom)
+        chrom, obj = draw_feasible(inst, rng, evaluator, seen,
+                                   max(budget - evaluator.count, 1))
+        population.append((chrom, obj))
         seen.add(chrom)
     return population
 
@@ -356,22 +355,23 @@ def evolve(inst: ProjectInstance, params: SolverParams, algorithm: str,
     max_evaluations is checked after each generation, so a run overshoots
     it by up to one generation (initialisation alone may exceed it).
     Before any draw, parameters out of range, a negative seed or a
-    max_evaluations below 1 raise BadParams and a deadline below the fully
-    crashed makespan raises InfeasibleInstance.  Initialisation, and each
-    fresh draw after it, may take ATTEMPTS_FACTOR * pop_size evaluations.
+    max_evaluations below 1 raise BadParams, a deadline below the fully
+    crashed makespan InfeasibleInstance and a capacity below the least
+    total demand NoFeasible.  Initialisation, and each fresh draw after
+    it, may take ATTEMPTS_FACTOR * pop_size evaluations.
     """
     t0 = time.perf_counter()
     params.validate()
     if max_evaluations is not None and max_evaluations < 1:
         raise BadParams(f"max_evaluations must be >= 1, got {max_evaluations}")
     compute_time_windows(inst)
+    check_capacities(inst)
     archive = ParetoArchive()
     evaluator = Evaluator(inst, archive, literal_eq15)
     attempts = ATTEMPTS_FACTOR * params.pop_size
 
-    chroms = init_population(inst, params.pop_size, make_rng(params.seed, 0),
-                             evaluator, attempts)
-    pop = [(c, evaluator(c)[0]) for c in chroms]
+    pop = init_population(inst, params.pop_size, make_rng(params.seed, 0),
+                          evaluator, attempts)
 
     for gen in range(1, params.iterations + 1):
         rng = make_rng(params.seed, gen)
@@ -449,12 +449,12 @@ def run_moga(inst: ProjectInstance, params: MogaParams,
                 # the re-scan leaves the run bit-identical
                 if base in locally_optimal:
                     continue
-                climbed = hill_climb(inst, base, rng=rng, _eval=evaluator)
-                if climbed == base:
+                climbed = hill_climb(inst, *offspring[k], rng=rng,
+                                     _eval=evaluator)
+                if climbed[0] == base:
                     locally_optimal.add(base)
                 else:
-                    obj, _ = evaluator(climbed)
-                    offspring[k] = (climbed, obj)
+                    offspring[k] = climbed
         return elites + offspring
 
     return evolve(inst, params, "moga", next_population,

@@ -118,14 +118,8 @@ def _walk(inst: ProjectInstance, order: tuple[int, ...], latest: list):
     deadline = inst.deadline
     dummy = inst.dummy_flags
 
-    # least[k]: the least demand of activities k.. per resource
+    least = view.least_demand
     nothing = (0,) * len(view.capacity_left)
-    least = [nothing] * (n + 1)
-    for k in reversed(range(n)):
-        least[k] = least[k + 1]
-        if not dummy[k]:
-            rows = (gene[4] for gene in view.genes[k])
-            least[k] = tuple(map(add, least[k], map(min, zip(*rows))))
     # one row per gene: (mode, duration, the numerator of its cost term,
     # the end of the mode's genes in the table, and on the first gene of a
     # mode (demands, the most demand the activities before it may hold,

@@ -166,7 +166,7 @@ def test_criterion_06_hill_climb_soundness():
                 base_obj, rep = evaluate(inst, chrom)
                 if rep.valid_number == 3:
                     break
-            out = hill_climb(inst, chrom, rng=rng)
+            out, _ = hill_climb(inst, chrom, base_obj, rng=rng)
             out_obj, _ = evaluate(inst, out)
             ok &= not _dominates_raw(base_obj, out_obj)
             targets = brute_hill_climb_targets(inst, chrom)

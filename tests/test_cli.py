@@ -301,6 +301,24 @@ class TestInfeasibleInstance:
             "--instance", str(toy4_path), "--out", str(out)), out)
 
 
+@pytest.mark.parametrize("algo", ["moga", "nsga2"])
+def test_capacity_below_least_demand_exits_one(toy4_path, tmp_path, algo):
+    # activities 2 and 3 need 4 units of r1 whatever their modes, so the
+    # solve is refused before any draw, as a deadline too short is
+    data = json.loads(toy4_path.read_text())
+    data["resource_capacity"]["r1"] = 3
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "front.csv"
+    result = run_cli("solve", "--algo", algo, "--seed", "1", "--pop", "4",
+                     "--iterations", "2", "--instance", str(path),
+                     "--out", str(out))
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.strip().splitlines() == [
+        "error: resource r1: least total demand 4 exceeds capacity 3"]
+    assert not out.exists()
+
+
 class TestUsageErrors:
     def test_unknown_command(self):
         assert run_cli("frobnicate").returncode == 2
@@ -352,6 +370,7 @@ class TestUsageErrors:
         result = run_cli("oracle", "--instance", str(bad),
                          "--out", str(tmp_path / "x.csv"))
         assert result.returncode == 2
+        assert f"error: {bad}: line 1: " in result.stderr
 
     @pytest.mark.parametrize("command", [
         ("solve", "--algo", "moga", "--seed", "1", "--instance", "BAD",
@@ -522,10 +541,15 @@ class TestBadArgumentValues:
     def test_tune_levels(self, toy4_path, tmp_path, text):
         levels = tmp_path / "levels.json"
         levels.write_text(text)
-        self.assert_usage_error(run_cli(
+        result = run_cli(
             "tune", "--instance", str(toy4_path), "--seed", "1",
             "--levels", str(levels), "--threads", "1",
-            "--out-dir", str(tmp_path / "tune")))
+            "--out-dir", str(tmp_path / "tune"))
+        self.assert_usage_error(result)
+        if text == "{not json":
+            # the instance is read first, so the message must name the
+            # levels file
+            assert f"error: {levels}: line 1: " in result.stderr
 
     @pytest.mark.parametrize("option", [
         ("--pop", "1"), ("--iterations", "-1"), ("--crossover", "2"),

@@ -29,37 +29,37 @@ LONG = 10**6  # iterations for runs that stop on max_evaluations
 
 # (solver, instance, params, run keywords, evaluations, front CSV sha256)
 CASES = [
-    ("moga", "toy4", dict(seed=3, pop_size=10, iterations=20), {}, 1129,
+    ("moga", "toy4", dict(seed=3, pop_size=10, iterations=20), {}, 879,
      "9926c0212f1d83ddeb37da926473bf53fbf3d9e1762bf0a6469185e47e6f97d8"),
     ("moga", "toy4", dict(seed=3, pop_size=10, iterations=20),
-     {"use_archive": False}, 1129,
+     {"use_archive": False}, 879,
      "d411627b8d2cdeb09cbce3d5ec875babe264758f567e35e34f7e13c47ab8cd28"),
-    ("nsga2", "toy4", dict(seed=3, pop_size=10, iterations=20), {}, 283,
+    ("nsga2", "toy4", dict(seed=3, pop_size=10, iterations=20), {}, 273,
      "b655d6e03e516c9fa4256b05e566613a0d67e2e0ca28b3b5687d0d30d58efa08"),
     ("nsga2", "toy4", dict(seed=3, pop_size=10, iterations=20),
-     {"use_archive": True}, 283,
+     {"use_archive": True}, 273,
      "bc941b16970525faebce72818df3421e2f82a20fe59bb7fca1bc03a049d7f388"),
-    ("moga", "gen", dict(seed=1, pop_size=12, iterations=15), {}, 2357,
+    ("moga", "gen", dict(seed=1, pop_size=12, iterations=15), {}, 2130,
      "10604880b9d5419d497003b2f10dd0576b8e5c2493c73329a6ceedc253b1903b"),
     ("moga", "gen", dict(seed=2, pop_size=12, iterations=LONG),
-     {"max_evaluations": 4000}, 4104,
+     {"max_evaluations": 4000}, 4108,
      "fecec9aff9eb8f5bc2da474fb825d4ef73d20d6b87ca203bc874487a90eb3984"),
-    ("nsga2", "gen", dict(seed=1, pop_size=12, iterations=15), {}, 414,
+    ("nsga2", "gen", dict(seed=1, pop_size=12, iterations=15), {}, 402,
      "87a119d54a428db3b5a8c9340ae6d56d1af7b618df3e11cc197deee1c71b8a2b"),
     ("nsga2", "gen", dict(seed=2, pop_size=12, iterations=LONG),
-     {"max_evaluations": 4000}, 4004,
+     {"max_evaluations": 4000}, 4005,
      "63a5151db4f485d6b391adc12e16062a229f60464ae7a1948323eba3c91545ab"),
     ("moga", "gen", dict(seed=4, pop_size=10, iterations=12, crossover_rate=0.5,
                          mutation_rate=0.3, hill_climb_rate=0.3,
-                         elitism_rate=0.2), {}, 601,
+                         elitism_rate=0.2), {}, 522,
      "07a84e4e23997692f487be5f5f3ff103ab5ceff6338ea34df6f3a02b5bd28744"),
     ("nsga2", "gen", dict(seed=4, pop_size=10, iterations=12, crossover_rate=0.3,
-                          mutation_rate=0.9), {}, 275,
+                          mutation_rate=0.9), {}, 265,
      "2440c01933e452c153540d870044a290c76708613ba86a59f3bfc938fb2c6a65"),
     ("nsga2", "tight", dict(seed=50, pop_size=12, iterations=LONG),
-     {"max_evaluations": 3000}, 3010,
-     "336481029467122f08b534be6d831f5b6a8796d7efed7fc2a5eb7cf1a0fff4ce"),
-    ("moga", "tight", dict(seed=50, pop_size=12, iterations=6), {}, 864,
+     {"max_evaluations": 3000}, 3011,
+     "6e13b2a5be717e0feccbdbf64b0551fcd738f5dbaf5040d9bb0435c0a29be982"),
+    ("moga", "tight", dict(seed=50, pop_size=12, iterations=6), {}, 737,
      "a11ae8c89287346bb416a9f766e0d1a1175f6787900d397932c537494238fd51"),
     ("oracle", "toy4", {}, {}, 15,
      "bba4c68ef773a082e64b6e962d1186e7f2e0f9b7b219065ce799e0c8c8b521fe"),
@@ -70,9 +70,9 @@ CASES = [
     ("oracle", "tight6", {}, {"literal_eq15": True}, 4096,
      "2baad4c57879df99fab2c8214917135ac08ca98b8615676d05fbaae8b204e2b0"),
     ("moga", "tight6", dict(seed=5, pop_size=10, iterations=10),
-     {"literal_eq15": True}, 2575,
+     {"literal_eq15": True}, 2443,
      "7921317e41559247238d46148b0e27045caefc9fa170d96b8e78e7bb1b59bf59"),
-    ("moga", "relabelled", dict(seed=7, pop_size=10, iterations=12), {}, 2050,
+    ("moga", "relabelled", dict(seed=7, pop_size=10, iterations=12), {}, 1878,
      "1907763c0328ddfea834c1145ceca262b68d478c43371df086b310ed696ef725"),
     ("oracle", "rev6", {}, {}, 4096,
      "9e83b5cd696e4e7f99cb7a0d737752ea72dcc7d0471dd52180e821e156c3fd52"),
@@ -235,9 +235,9 @@ OUTPUT_PINS = {
     "moga.csv":
         "e43b9b4e3315e9813fbce6e5c11668d7537abb13eec0b0bf19869a36b65e52e5",
     "moga.csv.meta.json":
-        "4a28c7dec5d57a5b963f6dbe347563227fa116d218a87ad2ecd01f1443ab6f1c",
+        "1e6407c2070e534912365f4fd6187ac01fb2f7d40e3dd0d7e4460d4813b01142",
     "nsga2.csv.meta.json":
-        "a63c3e5ebd85abc59fa441695956e14a82579d5ca84de650d4f2656d289607fc",
+        "2ac4107da51598bf0f48f2bb96c6c03d3142d2b8284d36dddbfefd4590d51238",
     "oracle.csv.meta.json":
         "611fc5f8b438b1732daaedeaf500f685caf35965e254fa699c1854b45d6868e9",
     "metrics.json":

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from crashplan.errors import BadParams, InitTimeout
+from crashplan.errors import BadParams, InitTimeout, NoFeasible
 from crashplan.evaluate import Chromosome, decode_schedule, evaluate
 from crashplan import moga
 from crashplan.instance import ActivityMode, generate_instance
@@ -13,7 +13,6 @@ from crashplan.moga import (ATTEMPTS_FACTOR, Evaluator, MogaParams, crossover,
                             tournament_select)
 from crashplan.nsga2 import Nsga2Params, run_nsga2
 from crashplan.oracle import true_pareto_front
-from crashplan.pareto import ParetoArchive
 
 from conftest import dummy, make_instance, real
 
@@ -67,9 +66,10 @@ class TestInitPopulation:
     def test_toy4_population(self, toy4):
         pop = _init(toy4, 5, 10)
         assert len(pop) == 10
-        assert len(set(pop)) == 10
-        for c in pop:
-            assert evaluate(toy4, c)[1].valid_number == 3
+        assert len({c for c, _ in pop}) == 10
+        for c, obj in pop:
+            scored, rep = evaluate(toy4, c)
+            assert scored == obj and rep.valid_number == 3
 
     def test_same_seed_same_population(self, toy4):
         assert _init(toy4, 6, 8) == _init(toy4, 6, 8)
@@ -206,14 +206,15 @@ class TestHillClimb:
         # nothing can dominate a true-front member, so the scan returns it
         report = true_pareto_front(toy4)
         for member in report.front.members:
-            assert hill_climb(toy4, member.chromosome) == member.chromosome
+            pair = (member.chromosome, member.objectives)
+            assert hill_climb(toy4, *pair) == pair
 
     def test_never_dominated_by_input(self, toy4):
         rng = np.random.default_rng(9)
         for _ in range(60):
-            c, _ = _feasible(toy4, rng)
-            out = hill_climb(toy4, c, rng=rng)
-            assert not _dominates_raw(evaluate(toy4, c)[0], evaluate(toy4, out)[0])
+            c, obj = _feasible(toy4, rng)
+            out, _ = hill_climb(toy4, c, obj, rng=rng)
+            assert not _dominates_raw(obj, evaluate(toy4, out)[0])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_brute_force_scan(self, toy4, seed):
@@ -221,18 +222,18 @@ class TestHillClimb:
         instances = [toy4, generate_instance(seed, 6, 2, 0.5)]
         for inst in instances:
             for _ in range(15):
-                c, _ = _feasible(inst, rng)
+                c, obj = _feasible(inst, rng)
                 targets = brute_hill_climb_targets(inst, c)
-                out = hill_climb(inst, c, rng=rng)
+                out, _ = hill_climb(inst, c, obj, rng=rng)
                 if targets is None:
                     assert out == c
                 else:
                     assert evaluate(inst, out)[0].as_tuple() in targets
 
-
-    def test_input_is_decoded_once_and_counted_once(self, toy4, monkeypatch):
-        # the input is scored from its one decoded schedule, never by a
-        # second full evaluate, and counts as one evaluation like each variant
+    def test_input_is_decoded_once_and_not_scored(self, toy4, monkeypatch):
+        # the caller holds the input's objectives: the input is decoded once
+        # for the variants' schedule and never scored, and the count is the
+        # variants scored from that schedule
         rng = np.random.default_rng(11)
         decoded = []
         real_decode = moga.decode_schedule
@@ -247,21 +248,17 @@ class TestHillClimb:
         monkeypatch.setattr(moga, "decode_schedule", decode)
         monkeypatch.setattr(moga, "evaluate", no_evaluate)
         for _ in range(20):
-            c, base_obj = _feasible(toy4, rng)
+            c, obj = _feasible(toy4, rng)
             decoded.clear()
-            archive = ParetoArchive()
-            ev = moga.Evaluator(toy4, archive)
+            ev = moga.Evaluator(toy4)
             scored = []
             score = ev.variant
             ev.variant = lambda base, chrom, a: (scored.append(chrom)
                                                  or score(base, chrom, a))
-            hill_climb(toy4, c, _eval=ev)
+            hill_climb(toy4, c, obj, _eval=ev)
             assert decoded == [c]
-            assert scored[0] == c and c not in scored[1:]
+            assert scored and c not in scored
             assert ev.count == len(scored)
-            assert archive.front().contains_point(base_obj) or any(
-                _dominates_raw(m.objectives, base_obj)
-                for m in archive.front().members)
 
 
 def _feasible(inst, rng):
@@ -290,6 +287,19 @@ class TestRunMoga:
         report = run_moga(toy4, MogaParams(seed=1, pop_size=30, iterations=100))
         assert sorted(o.as_tuple() for o in report.front.objectives()) \
             == sorted(o.as_tuple() for o in oracle.front.objectives())
+
+    def test_capacity_below_least_demand_draws_nothing(self, toy4,
+                                                       monkeypatch):
+        # no mode of activities 2 and 3 needs less than 2 units of r1 each
+        short = replace(toy4, resource_capacity=(("r1", 3),))
+
+        def no_draw(*args):
+            raise AssertionError("a chromosome was drawn")
+
+        monkeypatch.setattr(moga, "random_chromosome", no_draw)
+        with pytest.raises(NoFeasible, match="^resource r1: least total "
+                           "demand 4 exceeds capacity 3$"):
+            run_moga(short, MogaParams(seed=0, pop_size=4, iterations=2))
 
     def test_population_invariants_via_hook(self, toy4):
         sizes = []
