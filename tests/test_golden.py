@@ -5,7 +5,8 @@ that must not change unless a change means to alter an RNG stream or the
 evaluation count: `FrontReport.evaluations` and the sha256 of the front
 CSV bytes.
 A change that moves these values records why in CHANGES.md and updates
-the pins in the same commit.
+the pins in the same commit.  Test ids name a case by its inputs only, so
+a re-pin changes values, not test names.
 """
 
 import hashlib
@@ -130,7 +131,17 @@ def instances(toy4):
             "crash6": crashed_deadline(enumerable(10), 2)}
 
 
-@pytest.mark.parametrize("algo,name,params,kwargs,evaluations,digest", CASES)
+def case_label(case) -> str:
+    """The id of a CASES entry: solver, instance and options, each option
+    by the initials of its keyword (pop_size=10 -> ps=10)."""
+    algo, name, params, kwargs = case[:4]
+    return "-".join([algo, name, *(
+        "".join(word[0] for word in key.split("_")) + f"={value}"
+        for key, value in {**params, **kwargs}.items())])
+
+
+@pytest.mark.parametrize("algo,name,params,kwargs,evaluations,digest", CASES,
+                         ids=[case_label(case) for case in CASES])
 def test_run_is_pinned(instances, tmp_path, algo, name, params, kwargs,
                        evaluations, digest):
     if algo == "oracle":
@@ -312,7 +323,8 @@ def cli_outputs(toy4_path, tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("name,digest", OUTPUT_PINS.items())
+@pytest.mark.parametrize("name,digest", OUTPUT_PINS.items(),
+                         ids=list(OUTPUT_PINS))
 def test_cli_output_is_pinned(cli_outputs, name, digest):
     text = (cli_outputs / name).read_text(encoding="utf-8")
     if name.endswith(".meta.json"):
