@@ -50,6 +50,8 @@ FUZZ = ("tests/test_cli_fuzz.py::test_edited_instance_exits_cleanly",)
 FORMAT = ("tests/test_instance.py::TestIo::test_wrong_kind_leaf_is_named",)
 CARRIED = ("tests/test_solver_property.py::"
            "test_carried_objectives_are_the_evaluated_ones",)
+DISTINCT = ("tests/test_moga.py::TestGenesOnly::"
+            "test_exactly_enough_feasible_assignments_stay_distinct",)
 EVALUATE = "src/crashplan/evaluate.py"
 WALK = "src/crashplan/oracle.py"
 INSTANCE = "src/crashplan/instance.py"
@@ -104,6 +106,14 @@ MUTANTS = (
            "best = [variants[k - 1] for k in range(1, len(ranks)) if ranks[k] == 0]",
            "best = [(variants[k - 1][0], obj) for k in range(1, len(ranks))"
            " if ranks[k] == 0]", CARRIED),
+    # duplicate control: off only where the space has fewer feasible
+    # assignments than the population
+    Mutant("duplicates-allowed-at-exact-count", MOGA,
+           "distinct = feasible >= params.pop_size",
+           "distinct = feasible > params.pop_size", DISTINCT),
+    Mutant("duplicate-control-always-off", MOGA,
+           "member_set = set if distinct else Unchecked",
+           "member_set = Unchecked", DISTINCT),
     # the input rules
     Mutant("validate-no-return-below-two", INSTANCE,
            "return v  # the graph checks start at activity 1 and end at n",

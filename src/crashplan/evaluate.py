@@ -4,8 +4,9 @@ A chromosome is three integer strings: a topological activity order, a
 1-based mode index per activity, and a realized duration per activity.
 Decoding is earliest-start and is also the only validation: the one walk
 over the order string checks each gene as it schedules it.  Resources are
-aggregate, so start times do not depend on the order string (it is kept
-for operator compatibility).
+aggregate, so start times and every objective depend only on the (mode,
+duration) genes: the solvers and the oracle build every chromosome on
+`ProjectInstance.order`, and the walk checks orders read from outside.
 
 `evaluate` runs the chain decode -> payments -> NPV -> quality ->
 feasibility as `decode_schedule` plus one scoring pass over the
@@ -94,10 +95,9 @@ class FeasibilityReport(NamedTuple):
 
 def baseline_chromosome(inst: ProjectInstance) -> Chromosome:
     """All-normal, first-mode chromosome on the canonical topological order."""
-    from .instance import topological_order
     durations = tuple(0 if a.is_dummy else a.modes[0].normal_duration
                       for a in inst.activities)
-    return Chromosome(order=topological_order(inst),
+    return Chromosome(order=inst.order,
                       modes=(1,) * inst.n,
                       durations=durations)
 

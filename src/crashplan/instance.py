@@ -157,13 +157,18 @@ class ProjectInstance:
             least_demand=tuple(least))
 
     @cached_property
+    def order(self) -> tuple[int, ...]:
+        """topological_order(self), once: every built chromosome's order."""
+        return topological_order(self)
+
+    @cached_property
     def descendants(self) -> tuple[tuple[int, ...], ...]:
         """Everything reachable from each activity, as indices in canonical
         topological order, so one forward pass over it re-times a change to
         that activity.  O(n^2) entries: built for the hill climb's
         `evaluate_variant` only."""
         succs = [[h - 1 for h in a.successors] for a in self.activities]
-        topo_pos = {i - 1: p for p, i in enumerate(topological_order(self))}
+        topo_pos = {i - 1: p for p, i in enumerate(self.order)}
         return tuple(tuple(sorted(_reachable(succs, k) - {k},
                                   key=topo_pos.__getitem__))
                      for k in range(self.n))
@@ -365,7 +370,7 @@ def compute_time_windows(inst: ProjectInstance) -> TimeWindows:
 
     Raises InfeasibleInstance when even maximal compression misses the deadline.
     """
-    order = topological_order(inst)
+    order = inst.order
     crash = [min(lo for lo, _ in windows) for windows in inst.duration_bounds]
     ef = [0] * inst.n
     forward_pass(inst.predecessors, crash, [0] * inst.n, ef,

@@ -1,10 +1,12 @@
 """Genetic solvers: MOGA and the generation driver it shares with NSGA-II.
 
-Both use one encoding (random topological order, mode and duration strings),
-string-swap crossover, two-point mutation, feasibility and duplicate control
-(`breed`) and one driver (`evolve`); each supplies only its next-population
-step.  MOGA keeps rank-picked elites, breeds by binary tournament, fills up
-with random chromosomes and hill-climbs a share of the offspring.
+Both search the (mode, duration) genes only: resources are aggregate, so
+no objective depends on the activity order, and every chromosome carries
+the canonical order `ProjectInstance.order`.  They share one two-gene
+mutation, feasibility and duplicate control (`breed`) and one driver
+(`evolve`); each supplies only its next-population step.  MOGA keeps
+rank-picked elites, breeds the two winners of binary tournaments, fills
+up with random chromosomes and hill-climbs a share of the offspring.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .evaluate import (Chromosome, DecodedSchedule, ObjectiveVector,
                        decode_schedule, evaluate, evaluate_variant)
 from .instance import (ProjectInstance, check_capacities, compute_time_windows,
                        instance_hash, make_rng)
+from .oracle import search_space_size, true_pareto_front
 from .pareto import (ParetoArchive, group_by_rank, nondominated_sort,
                      pareto_filter)
 from .reporting import FrontReport
@@ -33,6 +36,8 @@ DEFAULT_ITERATIONS = 2000
 DEFAULT_POP_SIZE = 100
 #: random draws allowed per population member before InitTimeout
 ATTEMPTS_FACTOR = 10_000
+#: search spaces up to this size are counted by the oracle before a run
+SMALL_SPACE = 2**16
 
 
 @dataclass(frozen=True)
@@ -98,23 +103,6 @@ class Evaluator:
 # ---------------------------------------------------------------------------
 # Encoding operators
 
-def random_topological_order(inst: ProjectInstance,
-                             rng: np.random.Generator) -> tuple[int, ...]:
-    """Random linear extension by uniform choice among ready activities."""
-    indeg = [len(p) for p in inst.predecessors]
-    ready = [i + 1 for i in range(inst.n) if indeg[i] == 0]
-    order: list[int] = []
-    while ready:
-        k = int(rng.integers(len(ready))) if len(ready) > 1 else 0
-        i = ready.pop(k)
-        order.append(i)
-        for h in inst.activities[i - 1].successors:
-            indeg[h - 1] -= 1
-            if indeg[h - 1] == 0:
-                ready.append(h)
-    return tuple(order)
-
-
 def _draw_duration(inst: ProjectInstance, k: int, m: int,
                    rng: np.random.Generator) -> int:
     """Uniform duration in the window of mode m of activity k + 1."""
@@ -135,44 +123,23 @@ def random_chromosome(inst: ProjectInstance,
     dummy = inst.dummy_flags
     genes = [(1, 0) if dummy[k] else _draw_gene(inst, k, rng)
              for k in range(inst.n)]
-    return Chromosome(random_topological_order(inst, rng),
-                      tuple(m for m, _ in genes), tuple(d for _, d in genes))
-
-
-def order_is_topological(inst: ProjectInstance, order: tuple[int, ...]) -> bool:
-    pos = [0] * inst.n
-    for p, i in enumerate(order):
-        pos[i - 1] = p
-    return all(pos[act.id - 1] < pos[h - 1]
-               for act in inst.activities for h in act.successors)
-
-
-def crossover(p1: Chromosome, p2: Chromosome) -> tuple[Chromosome, Chromosome]:
-    """Swap the mode and duration strings as a pair; orders stay put."""
-    c1 = Chromosome(p1.order, p2.modes, p2.durations)
-    c2 = Chromosome(p2.order, p1.modes, p1.durations)
-    return c1, c2
+    return Chromosome(inst.order, tuple(m for m, _ in genes),
+                      tuple(d for _, d in genes))
 
 
 def mutate(inst: ProjectInstance, chrom: Chromosome,
            rng: np.random.Generator) -> Chromosome:
-    """Two-point mutation: try to swap two non-dummy order positions (kept
-    only if still topological) and redraw both activities' mode/duration."""
-    real_pos = [p for p, a in enumerate(chrom.order)
-                if not inst.dummy_flags[a - 1]]
-    if len(real_pos) < 2:
+    """Two-point mutation: redraw the mode and duration of two distinct
+    real activities; the order string stays as it is."""
+    real = inst.compiled.real
+    if len(real) < 2:
         return chrom
-    picked = rng.choice(len(real_pos), size=2, replace=False)
-    p, q = (real_pos[int(picked[0])], real_pos[int(picked[1])])
-    order = list(chrom.order)
-    order[p], order[q] = order[q], order[p]
-    new_order = tuple(order) if order_is_topological(inst, tuple(order)) \
-        else chrom.order
     modes = list(chrom.modes)
     durations = list(chrom.durations)
-    for a in (chrom.order[p], chrom.order[q]):
-        modes[a - 1], durations[a - 1] = _draw_gene(inst, a - 1, rng)
-    return Chromosome(new_order, tuple(modes), tuple(durations))
+    for x in rng.choice(len(real), size=2, replace=False):
+        k = real[int(x)]
+        modes[k], durations[k] = _draw_gene(inst, k, rng)
+    return Chromosome(chrom.order, tuple(modes), tuple(durations))
 
 
 def tournament_select(keys: list, rng: np.random.Generator) -> int:
@@ -245,9 +212,16 @@ def hill_climb(inst: ProjectInstance, chrom: Chromosome, obj: ObjectiveVector,
 # ---------------------------------------------------------------------------
 # Population machinery shared with NSGA-II
 
+class Unchecked(set):
+    """The member set of a run without duplicate control: nothing is in it."""
+
+    def __contains__(self, chrom) -> bool:
+        return False
+
+
 def draw_feasible(inst: ProjectInstance, rng: np.random.Generator, evaluator,
                   exclude: set[Chromosome], attempts: int):
-    """Rejection-sample one feasible, non-duplicate chromosome.
+    """Rejection-sample one feasible chromosome not in `exclude`.
 
     Raises InitTimeout with a per-constraint-group failure histogram when
     the attempt budget runs out.
@@ -273,15 +247,15 @@ def draw_feasible(inst: ProjectInstance, rng: np.random.Generator, evaluator,
 
 
 def init_population(inst: ProjectInstance, pop_size: int,
-                    rng: np.random.Generator, evaluator, budget: int
-                    ) -> list[tuple[Chromosome, ObjectiveVector]]:
-    """Rejection-sample pop_size distinct chromosomes with valid_number 3,
-    within `budget` draws counted by the evaluator (at least one draw per
-    member), as (chromosome, objectives) pairs.  With fewer than pop_size
-    distinct feasible chromosomes this ends in InitTimeout on duplicates:
-    toy4 has 30 chromosomes in all (15 gene assignments, 2 orders)."""
+                    rng: np.random.Generator, evaluator, budget: int,
+                    member_set=set) -> list[tuple[Chromosome, ObjectiveVector]]:
+    """Rejection-sample pop_size chromosomes with valid_number 3, distinct
+    unless member_set is Unchecked, within `budget` draws counted by the
+    evaluator (at least one draw per member), as (chromosome, objectives)
+    pairs.  A distinct population needs pop_size feasible gene assignments
+    (one chromosome each) or ends in InitTimeout on duplicates."""
     population: list[tuple[Chromosome, ObjectiveVector]] = []
-    seen: set[Chromosome] = set()
+    seen = member_set()
     while len(population) < pop_size:
         chrom, obj = draw_feasible(inst, rng, evaluator, seen,
                                    max(budget - evaluator.count, 1))
@@ -351,14 +325,17 @@ def evolve(inst: ProjectInstance, params: SolverParams, algorithm: str,
     Generation 0 is init_population on make_rng(seed, 0); generation g
     draws from make_rng(seed, g), ranks the (chromosome, objectives) pairs
     and replaces them with next_population(pop, ranks, rng, evaluator,
-    attempts), then calls on_generation(gen, chromosomes, archive_front).
-    max_evaluations is checked after each generation, so a run overshoots
-    it by up to one generation (initialisation alone may exceed it).
-    Before any draw, parameters out of range, a negative seed or a
-    max_evaluations below 1 raise BadParams, a deadline below the fully
-    crashed makespan InfeasibleInstance and a capacity below the least
-    total demand NoFeasible.  Initialisation, and each fresh draw after
-    it, may take ATTEMPTS_FACTOR * pop_size evaluations.
+    attempts, member_set), then calls on_generation(gen, chromosomes,
+    archive_front).  max_evaluations is checked after each generation, so
+    a run overshoots it by up to one generation (initialisation alone may
+    exceed it).  Before any draw, parameters out of range, a negative seed
+    or a max_evaluations below 1 raise BadParams, a deadline below the
+    fully crashed makespan InfeasibleInstance and a capacity below the
+    least total demand NoFeasible.  Initialisation, and each fresh draw
+    after it, may take ATTEMPTS_FACTOR * pop_size evaluations.
+    Populations are distinct (member_set is `set`) unless the oracle finds
+    fewer than pop_size feasible points in a space of at most SMALL_SPACE
+    (member_set is Unchecked; none at all raises NoFeasible).
     """
     t0 = time.perf_counter()
     params.validate()
@@ -369,14 +346,21 @@ def evolve(inst: ProjectInstance, params: SolverParams, algorithm: str,
     archive = ParetoArchive()
     evaluator = Evaluator(inst, archive, literal_eq15)
     attempts = ATTEMPTS_FACTOR * params.pop_size
+    distinct = True
+    if search_space_size(inst) <= SMALL_SPACE:
+        feasible = true_pareto_front(
+            inst, literal_eq15=literal_eq15).params["feasible"]
+        distinct = feasible >= params.pop_size
+    member_set = set if distinct else Unchecked
 
     pop = init_population(inst, params.pop_size, make_rng(params.seed, 0),
-                          evaluator, attempts)
+                          evaluator, attempts, member_set)
 
     for gen in range(1, params.iterations + 1):
         rng = make_rng(params.seed, gen)
         ranks = nondominated_sort([o for _, o in pop])
-        pop = next_population(pop, ranks, rng, evaluator, attempts)
+        pop = next_population(pop, ranks, rng, evaluator, attempts,
+                              member_set)
         if on_generation is not None:
             on_generation(gen, [c for c, _ in pop], archive.front())
         if max_evaluations is not None and evaluator.count >= max_evaluations:
@@ -416,7 +400,7 @@ def run_moga(inst: ProjectInstance, params: MogaParams,
     feasible evaluation, or with use_archive=False the final population's."""
     locally_optimal: set[Chromosome] = set()
 
-    def next_population(pop, ranks, rng, evaluator, attempts):
+    def next_population(pop, ranks, rng, evaluator, attempts, member_set):
         n_elite = min(frac_count(params.elitism_rate, params.pop_size),
                       params.pop_size)
         n_cross = min(frac_count(params.crossover_rate, params.pop_size),
@@ -424,12 +408,12 @@ def run_moga(inst: ProjectInstance, params: MogaParams,
         n_fill = params.pop_size - n_elite - n_cross
 
         elites = [pop[i] for i in _pick_by_rank(ranks, n_elite, rng)]
-        members = {c for c, _ in elites}
+        members = member_set(c for c, _ in elites)
 
         def pick_pair(rng):
             i1 = tournament_select(ranks, rng)
             i2 = tournament_select(ranks, rng)
-            return crossover(pop[i1][0], pop[i2][0])
+            return pop[i1][0], pop[i2][0]
 
         offspring = breed(inst, n_cross, pick_pair, params.mutation_rate, rng,
                           evaluator, members, attempts)

@@ -1,6 +1,8 @@
 """NSGA-II baseline on the shared generation driver (see the moga module):
 binary tournaments on the crowded comparison, a crossover coin, and the
-standard (mu+lambda) survival on (nondomination rank, crowding distance)."""
+standard (mu+lambda) survival on (nondomination rank, crowding distance).
+The genes travel whole, so the coin only decides which tournament winner
+is bred first."""
 
 from __future__ import annotations
 
@@ -8,7 +10,7 @@ from dataclasses import dataclass
 
 from .evaluate import Chromosome, ObjectiveVector
 from .instance import ProjectInstance
-from .moga import SolverParams, breed, crossover, evolve, tournament_select
+from .moga import SolverParams, breed, evolve, tournament_select
 from .pareto import group_by_rank, nondominated_sort
 from .reporting import FrontReport
 
@@ -64,7 +66,7 @@ def run_nsga2(inst: ProjectInstance, params: Nsga2Params,
     """Run NSGA-II; by default reports the final population's rank-0 set
     (pass use_archive=True for the external-archive variant)."""
 
-    def next_population(pop, ranks, rng, evaluator, attempts):
+    def next_population(pop, ranks, rng, evaluator, attempts, member_set):
         # the crowded comparison: lower rank, then larger crowding distance
         keys: list = [None] * len(pop)
         for group in group_by_rank(ranks):
@@ -77,13 +79,14 @@ def run_nsga2(inst: ProjectInstance, params: Nsga2Params,
             i2 = tournament_select(keys, rng)
             parents = (pop[i1][0], pop[i2][0])
             if rng.random() < params.crossover_rate:
-                return crossover(*parents)
+                return parents[::-1]
             return parents
 
         # duplicate control applies within the batch being assembled, as in
         # MOGA; (mu+lambda) survival handles parent clones
         offspring = breed(inst, params.pop_size, pick_pair,
-                          params.mutation_rate, rng, evaluator, set(), attempts)
+                          params.mutation_rate, rng, evaluator, member_set(),
+                          attempts)
         return _survival(pop + offspring, params.pop_size)
 
     return evolve(inst, params, "nsga2", next_population,

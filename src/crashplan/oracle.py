@@ -2,7 +2,8 @@
 
 With aggregate resource constraints, earliest-start decoding does not
 depend on the order string, so only (mode, duration) assignments need
-enumeration; that collapses the space by n! and makes small instances
+enumeration, each on the canonical order `ProjectInstance.order` as in
+the solvers; that collapses the space by n! and makes small instances
 exactly solvable.  The practical limit is governed by the per-activity
 duration ranges, not by the activity count alone.
 
@@ -40,7 +41,7 @@ from operator import add, le
 from .errors import BadParams, NoFeasible, SpaceTooLarge
 from .evaluate import Chromosome, _settle
 from .instance import (ProjectInstance, compute_time_windows, forward_pass,
-                       instance_hash, topological_order)
+                       instance_hash)
 from .pareto import ParetoArchive
 from .reporting import FrontReport
 
@@ -76,18 +77,18 @@ def true_pareto_front(inst: ProjectInstance,
     t0 = time.perf_counter()
     windows = compute_time_windows(inst)
     latest = [windows.latest_finish[i] for i in range(1, inst.n + 1)]
-    order = topological_order(inst)
     archive = ParetoArchive()
     scored = feasible = 0
     for modes, durations, start, finish, cost, q_min, q_sum in _walk(
-            inst, order, latest):
+            inst, latest):
         scored += 1
         # resource_ok: the walk yields only points within the capacities
         obj, rep = _settle(inst, start, finish, cost, q_min, q_sum, True,
                            literal_eq15)
         if rep.valid_number == 3:
             feasible += 1
-            archive.add(obj, Chromosome(order, tuple(modes), tuple(durations)))
+            archive.add(obj, Chromosome(inst.order, tuple(modes),
+                                        tuple(durations)))
     if feasible == 0:
         raise NoFeasible("no assignment satisfies all three constraint groups")
 
@@ -100,16 +101,16 @@ def true_pareto_front(inst: ProjectInstance,
         wall_ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def _walk(inst: ProjectInstance, order: tuple[int, ...], latest: list):
+def _walk(inst: ProjectInstance, latest: list):
     """Yield (modes, durations, start, finish, cost, q_min, q_sum) for every
     point within the capacities and the deadline, in the order of
     itertools.product(*inst.gene_options); the last five are `_settle`'s
     arguments.
 
-    `order` is topological_order(inst) and `latest` the latest finishes of
-    compute_time_windows(inst), indexed by id - 1.  `cost` sums the real
-    activities' discounted cost terms in ascending index order.  The lists
-    are the walk's own and change with its next step.
+    `latest` is the latest finishes of compute_time_windows(inst), indexed
+    by id - 1.  `cost` sums the real activities' discounted cost terms in
+    ascending index order.  The lists are the walk's own and change with
+    its next step.
     """
     n = inst.n
     view = inst.compiled
@@ -149,7 +150,7 @@ def _walk(inst: ProjectInstance, order: tuple[int, ...], latest: list):
     # it fixes them; a leaf times the rest too, in topological order.
     end = 1 + max((k for k in range(1, n) if not dummy[k]), default=0)
     cut = next((k for k in range(end) if any(p > k for p in preds[k])), end)
-    retimed = [i - 1 for i in order if i - 1 >= cut]
+    retimed = [i - 1 for i in inst.order if i - 1 >= cut]
     late_real = [k for k in view.real if k >= cut]
 
     modes = [1] * n

@@ -30,38 +30,38 @@ LONG = 10**6  # iterations for runs that stop on max_evaluations
 
 # (solver, instance, params, run keywords, evaluations, front CSV sha256)
 CASES = [
-    ("moga", "toy4", dict(seed=3, pop_size=10, iterations=20), {}, 879,
-     "9926c0212f1d83ddeb37da926473bf53fbf3d9e1762bf0a6469185e47e6f97d8"),
+    ("moga", "toy4", dict(seed=3, pop_size=10, iterations=20), {}, 877,
+     "0137272f0089d736a7463548f7e5ecb13ae58dc1d6610534189ef024606116af"),
     ("moga", "toy4", dict(seed=3, pop_size=10, iterations=20),
-     {"use_archive": False}, 879,
-     "d411627b8d2cdeb09cbce3d5ec875babe264758f567e35e34f7e13c47ab8cd28"),
-    ("nsga2", "toy4", dict(seed=3, pop_size=10, iterations=20), {}, 273,
-     "b655d6e03e516c9fa4256b05e566613a0d67e2e0ca28b3b5687d0d30d58efa08"),
+     {"use_archive": False}, 877,
+     "0137272f0089d736a7463548f7e5ecb13ae58dc1d6610534189ef024606116af"),
+    ("nsga2", "toy4", dict(seed=3, pop_size=10, iterations=20), {}, 377,
+     "af71a751faf1f0da5358fd1f3544e4c10cc623c09786229b17b9ee02937c5faf"),
     ("nsga2", "toy4", dict(seed=3, pop_size=10, iterations=20),
-     {"use_archive": True}, 273,
-     "bc941b16970525faebce72818df3421e2f82a20fe59bb7fca1bc03a049d7f388"),
-    ("moga", "gen", dict(seed=1, pop_size=12, iterations=15), {}, 2130,
-     "10604880b9d5419d497003b2f10dd0576b8e5c2493c73329a6ceedc253b1903b"),
+     {"use_archive": True}, 377,
+     "af71a751faf1f0da5358fd1f3544e4c10cc623c09786229b17b9ee02937c5faf"),
+    ("moga", "gen", dict(seed=1, pop_size=12, iterations=15), {}, 1932,
+     "d5b722f50d87165fe267eefd18548c8550312dd499040646611e6e6bed145abd"),
     ("moga", "gen", dict(seed=2, pop_size=12, iterations=LONG),
-     {"max_evaluations": 4000}, 4108,
-     "fecec9aff9eb8f5bc2da474fb825d4ef73d20d6b87ca203bc874487a90eb3984"),
-    ("nsga2", "gen", dict(seed=1, pop_size=12, iterations=15), {}, 402,
-     "87a119d54a428db3b5a8c9340ae6d56d1af7b618df3e11cc197deee1c71b8a2b"),
+     {"max_evaluations": 4000}, 4013,
+     "35e201ffa570fdc81774b808e439a3fe964481bf1fcd1e873f5a4ea6816f6267"),
+    ("nsga2", "gen", dict(seed=1, pop_size=12, iterations=15), {}, 401,
+     "c21dcedbbbbc6d6f25c974028e2d03c839e3fa9422312c88e86b4aa083100e03"),
     ("nsga2", "gen", dict(seed=2, pop_size=12, iterations=LONG),
-     {"max_evaluations": 4000}, 4005,
-     "63a5151db4f485d6b391adc12e16062a229f60464ae7a1948323eba3c91545ab"),
+     {"max_evaluations": 4000}, 4010,
+     "124c67163f90e0334accbe5ec85afe14c830836544c11a4dc047b263af55b780"),
     ("moga", "gen", dict(seed=4, pop_size=10, iterations=12, crossover_rate=0.5,
                          mutation_rate=0.3, hill_climb_rate=0.3,
-                         elitism_rate=0.2), {}, 522,
-     "07a84e4e23997692f487be5f5f3ff103ab5ceff6338ea34df6f3a02b5bd28744"),
+                         elitism_rate=0.2), {}, 508,
+     "c700c1b1fd3d64b63bdf2fbf15119500ef77b23416a88f89ecc357c6a5b579ce"),
     ("nsga2", "gen", dict(seed=4, pop_size=10, iterations=12, crossover_rate=0.3,
-                          mutation_rate=0.9), {}, 265,
-     "2440c01933e452c153540d870044a290c76708613ba86a59f3bfc938fb2c6a65"),
+                          mutation_rate=0.9), {}, 241,
+     "d0988d5fc34aedc7754bcca754df896105558c0cb8166760f35ed8e999684939"),
     ("nsga2", "tight", dict(seed=50, pop_size=12, iterations=LONG),
-     {"max_evaluations": 3000}, 3011,
-     "6e13b2a5be717e0feccbdbf64b0551fcd738f5dbaf5040d9bb0435c0a29be982"),
-    ("moga", "tight", dict(seed=50, pop_size=12, iterations=6), {}, 737,
-     "a11ae8c89287346bb416a9f766e0d1a1175f6787900d397932c537494238fd51"),
+     {"max_evaluations": 3000}, 3004,
+     "c90d5e9e91b02cdd532612159dab4a7ae80f5f9ab64af9b62950134f4ebdb6e5"),
+    ("moga", "tight", dict(seed=50, pop_size=12, iterations=6), {}, 689,
+     "2bd3bb9b359e59a473a1e33b206fcc369df075a8830ac3affb5a7dbb693bb6b4"),
     ("oracle", "toy4", {}, {}, 15,
      "bba4c68ef773a082e64b6e962d1186e7f2e0f9b7b219065ce799e0c8c8b521fe"),
     ("oracle", "toy4", {}, {"literal_eq15": True}, 15,
@@ -71,10 +71,10 @@ CASES = [
     ("oracle", "tight6", {}, {"literal_eq15": True}, 4096,
      "2baad4c57879df99fab2c8214917135ac08ca98b8615676d05fbaae8b204e2b0"),
     ("moga", "tight6", dict(seed=5, pop_size=10, iterations=10),
-     {"literal_eq15": True}, 2443,
-     "7921317e41559247238d46148b0e27045caefc9fa170d96b8e78e7bb1b59bf59"),
-    ("moga", "relabelled", dict(seed=7, pop_size=10, iterations=12), {}, 1878,
-     "1907763c0328ddfea834c1145ceca262b68d478c43371df086b310ed696ef725"),
+     {"literal_eq15": True}, 2109,
+     "0cfa20739a14c22ced3f618b69228f599eae22bbef83b3befd8232c065acc5ec"),
+    ("moga", "relabelled", dict(seed=7, pop_size=10, iterations=12), {}, 1776,
+     "a7b17ce28f3fba4fbf8a9b81910e144393baacd982c7d5fdaca620febabb9355"),
     ("oracle", "rev6", {}, {}, 4096,
      "9e83b5cd696e4e7f99cb7a0d737752ea72dcc7d0471dd52180e821e156c3fd52"),
     ("oracle", "cut6", {}, {}, 4096,
@@ -224,7 +224,7 @@ def test_normalized_metrics_report_is_pinned(toy4_path, tmp_path):
     with open(out, "rb") as report:
         digest = hashlib.sha256(report.read()).hexdigest()
     assert digest \
-        == "1d875e943926dbf71dc0884173d11c734a1a39e4581c266519458e64ec5f2a44"
+        == "95e2d610915c9519fca6c895a91123774bc30aa21bda98b9a35d6668ea9489f6"
 
 
 # Every other CLI output: one run of each command on small inputs, each
@@ -244,25 +244,25 @@ OUTPUT_PINS = {
     "gen.json.meta.json":
         "f81905c204f3cb3f8db442e432bd11754ada06af61e92346c922a97df51a48fe",
     "moga.csv":
-        "e43b9b4e3315e9813fbce6e5c11668d7537abb13eec0b0bf19869a36b65e52e5",
+        "a5d17004295aefb759ed56920ddf05239dea00eff2c547e29a346a348fedc96e",
     "moga.csv.meta.json":
-        "1e6407c2070e534912365f4fd6187ac01fb2f7d40e3dd0d7e4460d4813b01142",
+        "41c7d7d0b115950c23f53c1564d7c3bcf98232041712b80426aa23dbf68e332a",
     "nsga2.csv.meta.json":
-        "2ac4107da51598bf0f48f2bb96c6c03d3142d2b8284d36dddbfefd4590d51238",
+        "7f8dac41043e3544b4c444051160d7770df29f8b005b23c7853671173908c8de",
     "oracle.csv.meta.json":
         "611fc5f8b438b1732daaedeaf500f685caf35965e254fa699c1854b45d6868e9",
     "metrics.json":
-        "226d464f68167f75e30209faf6524f1e369937bd6797373ab20b06a8bf309df2",
+        "2d86f60aa69824561a6b5ebf67d5957da2deb51597402e8e2257a9e8a4df68e2",
     "metrics.json.meta.json":
         "6dd513107a9c53c934034cab6562f26dc578bcfc71c4e79e993ea9db934ad430",
     "rows.csv":
-        "d687419541adbfa8b16b5fcd3e6b6e528648cd0df268b1753609a9f4d6474869",
+        "9bac2a5f3212eda89efc0433c4464563ee7f474b913314c81d7af4dca341fa05",
     "tune/tuning.json":
-        "7f30f0437b9d57ce5d989c412a8d932847119268b8a50f6e692fe850732f1771",
+        "583a15c32e8591350f826ac3a9cb02160a0c8cac529dfdeff2c10c05732cc516",
     "tune/tuning.json.meta.json":
         "217e02e9d29cef99ef7d29fca853bea19a7246a9d868ffa813bc6a3a2e93328c",
     "tune/means.csv":
-        "ede634e140f513801b3d9ce77ec924a17196d71736244856e627672658d5758f",
+        "391f2916860017087ba06b89f4a3880f506a2d65907a6755f32064b756f6ee09",
     "deadline.csv.meta.json":
         "6dd513107a9c53c934034cab6562f26dc578bcfc71c4e79e993ea9db934ad430",
     "discount.csv":

@@ -7,14 +7,14 @@ from crashplan.errors import BadParams, InitTimeout, NoFeasible
 from crashplan.evaluate import Chromosome, decode_schedule, evaluate
 from crashplan import moga
 from crashplan.instance import ActivityMode, generate_instance
-from crashplan.moga import (ATTEMPTS_FACTOR, Evaluator, MogaParams, crossover,
+from crashplan.moga import (ATTEMPTS_FACTOR, Evaluator, MogaParams,
                             frac_count, hill_climb, init_population, make_rng,
                             mutate, random_chromosome, replace_gene, run_moga,
                             tournament_select)
 from crashplan.nsga2 import Nsga2Params, run_nsga2
 from crashplan.oracle import true_pareto_front
 
-from conftest import dummy, make_instance, real
+from conftest import dummy, make_instance, real, reverse_real_ids
 
 
 def _dominates_raw(a, b):
@@ -119,31 +119,6 @@ class TestTournament:
             assert abs(count - draws * p) <= max(4 * sigma, 1)
 
 
-class TestCrossover:
-    def test_identical_parents(self, toy4):
-        p = random_chromosome(toy4, make_rng(1, 0))
-        c1, c2 = crossover(p, p)
-        assert c1 == p and c2 == p
-
-    def test_order_only_difference(self, toy4):
-        rng = make_rng(2, 0)
-        p1 = random_chromosome(toy4, rng)
-        p2 = Chromosome((1, 3, 2, 4), p1.modes, p1.durations)
-        c1, c2 = crossover(p1, p2)
-        assert c1 == p1 and c2 == p2
-
-    def test_strings_travel_as_pair(self, toy4):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            p1 = random_chromosome(toy4, rng)
-            p2 = random_chromosome(toy4, rng)
-            c1, c2 = crossover(p1, p2)
-            assert (c1.modes, c1.durations) == (p2.modes, p2.durations)
-            assert (c2.modes, c2.durations) == (p1.modes, p1.durations)
-            decode_schedule(toy4, c1)
-            decode_schedule(toy4, c2)
-
-
 class TestMutate:
     def test_single_real_activity_is_identity(self):
         mode = ActivityMode(3, 1, 10.0, 1.0, 60.0, ())
@@ -152,16 +127,22 @@ class TestMutate:
         c = Chromosome((1, 2, 3), (1, 1, 1), (0, 2, 0))
         assert mutate(inst, c, np.random.default_rng(0)) == c
 
-    def test_chain_swap_always_rejected(self, chain4):
+    def test_redraws_at_most_two_real_genes(self):
         rng = np.random.default_rng(7)
-        c = Chromosome((1, 2, 3, 4), (1, 1, 1, 1), (0, 3, 4, 0))
-        durations_changed = False
-        for _ in range(50):
-            m = mutate(chain4, c, rng)
-            decode_schedule(chain4, m)
-            assert m.order == c.order  # 2 -> 3 edge forbids the swap
-            durations_changed |= m.durations != c.durations
-        assert durations_changed
+        inst = reverse_real_ids(generate_instance(4, 10, 3, 0.4))
+        real = [k for k in range(inst.n) if not inst.dummy_flags[k]]
+        changed = set()
+        for _ in range(200):
+            c = random_chromosome(inst, rng)
+            m = mutate(inst, c, rng)
+            assert m.order == c.order == inst.order
+            diff = {k for k in range(inst.n)
+                    if (m.modes[k], m.durations[k]) != (c.modes[k],
+                                                        c.durations[k])}
+            assert len(diff) <= 2 and diff <= set(real)
+            changed |= diff
+            decode_schedule(inst, m)
+        assert changed == set(real)
 
     def test_always_type_valid(self, toy4):
         rng = np.random.default_rng(8)
@@ -301,6 +282,18 @@ class TestRunMoga:
                            "demand 4 exceeds capacity 3$"):
             run_moga(short, MogaParams(seed=0, pop_size=4, iterations=2))
 
+    def test_no_feasible_point_draws_nothing(self, toy4, monkeypatch):
+        # nothing pays for any of the 15 assignments: the oracle that counts
+        # a small space before the run finds no feasible point
+        broke = replace(toy4, initial_capital=0.0, price=0.0)
+
+        def no_draw(*args):
+            raise AssertionError("a chromosome was drawn")
+
+        monkeypatch.setattr(moga, "random_chromosome", no_draw)
+        with pytest.raises(NoFeasible, match="no assignment satisfies"):
+            run_moga(broke, MogaParams(seed=0, pop_size=4, iterations=2))
+
     def test_population_invariants_via_hook(self, toy4):
         sizes = []
         archives = []
@@ -346,6 +339,63 @@ class TestRunMoga:
     def test_evaluation_budget_below_one_rejected(self, toy4, budget):
         with pytest.raises(BadParams, match="max_evaluations"):
             run_moga(toy4, MogaParams(seed=1), max_evaluations=budget)
+
+
+class TestGenesOnly:
+    """Every chromosome a solver builds carries the canonical order, and a
+    population stays distinct unless the space holds fewer feasible gene
+    assignments than pop_size."""
+
+    @pytest.mark.parametrize("solver", [
+        lambda inst, watch: run_moga(
+            inst, MogaParams(seed=3, pop_size=12, iterations=6),
+            on_generation=watch),
+        lambda inst, watch: run_nsga2(
+            inst, Nsga2Params(seed=3, pop_size=12, iterations=6),
+            use_archive=True, on_generation=watch),
+    ], ids=["moga", "nsga2"])
+    def test_every_chromosome_carries_the_canonical_order(self, solver):
+        # real ids run backwards, so the canonical order is not 1..n
+        inst = reverse_real_ids(generate_instance(6, 10, 3, 0.4,
+                                                  budget_slack=0.3))
+        assert inst.order != tuple(range(1, inst.n + 1))
+        seen = []
+
+        def watch(gen, chroms, front):
+            seen.extend(chroms)
+            seen.extend(m.chromosome for m in front.members)
+
+        report = solver(inst, watch)
+        assert len(seen) > 6 * 12
+        assert all(c.order == inst.order for c in seen)
+        assert all(m.chromosome.order == inst.order
+                   for m in report.front.members)
+
+    def test_exactly_enough_feasible_assignments_stay_distinct(self, toy4):
+        # toy4's 15 gene assignments are all feasible: a population of 15
+        # holds each of them once in every generation (without hill
+        # climbing, which may move a member onto another member's genes)
+        populations = []
+        run_moga(toy4, MogaParams(seed=2, pop_size=15, iterations=5,
+                                  hill_climb_rate=0.0),
+                 on_generation=lambda gen, chroms, front:
+                 populations.append(chroms))
+        assert len(populations) == 5
+        for chroms in populations:
+            assert len(set(chroms)) == len(chroms) == 15
+
+    @pytest.mark.parametrize("run", [
+        lambda toy4: run_moga(toy4, MogaParams(seed=1, pop_size=40,
+                                               iterations=20)),
+        lambda toy4: run_nsga2(toy4, Nsga2Params(seed=1, pop_size=40,
+                                                 iterations=20)),
+    ], ids=["moga", "nsga2"])
+    def test_population_above_the_feasible_count_completes(self, toy4, run):
+        # 40 members on 15 feasible assignments: duplicate control is off
+        oracle = true_pareto_front(toy4)
+        report = run(toy4)
+        assert sorted(o.as_tuple() for o in report.front.objectives()) \
+            == sorted(o.as_tuple() for o in oracle.front.objectives())
 
 
 @pytest.mark.parametrize("cls,field", [
