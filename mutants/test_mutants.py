@@ -114,6 +114,19 @@ MUTANTS = (
     Mutant("duplicate-control-always-off", MOGA,
            "member_set = set if distinct else Unchecked",
            "member_set = Unchecked", DISTINCT),
+    # the gene draws: exact windows and two distinct positions
+    Mutant("draw-window-drops-top", INSTANCE,
+           "window_width[k, x] = hi - lo + 1", "window_width[k, x] = hi - lo",
+           ("tests/test_instance.py::TestDrawTables::"
+            "test_draws_map_onto_gene_options",)),
+    Mutant("mutate-may-repeat-activity", MOGA,
+           "    b += b >= a  # distinct from a, uniform over the others\n", "",
+           ("tests/test_moga.py::TestMutate::"
+            "test_redraws_two_distinct_activities",)),
+    Mutant("tournament-pair-may-repeat", MOGA,
+           "    b += b >= a  # the pair as mutate draws it\n", "",
+           ("tests/test_moga.py::TestTournament::"
+            "test_distribution_matches_analytic",)),
     # the input rules
     Mutant("validate-no-return-below-two", INSTANCE,
            "return v  # the graph checks start at activity 1 and end at n",

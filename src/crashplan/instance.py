@@ -52,10 +52,11 @@ class Activity:
 
 
 class CompiledInstance(NamedTuple):
-    """Flat tables for the scoring pass of `evaluate` and the oracle's walk;
-    all activity references are indices (id - 1).  Built once per instance
-    by ProjectInstance.compiled from the activity modes, which the
-    reference path of `evaluate` reads directly."""
+    """Flat tables for the scoring pass of `evaluate`, the oracle's walk
+    and the solvers' gene draws; all activity references are indices
+    (id - 1).  Built once per instance by ProjectInstance.compiled from the
+    activity modes, which the reference path of `evaluate` reads
+    directly."""
 
     #: the non-dummy activities, ascending
     real: tuple[int, ...]
@@ -74,6 +75,13 @@ class CompiledInstance(NamedTuple):
     #: per k in 0..n, the least demand of the real activities k.. per
     #: resource, each taking its least demanding mode
     least_demand: tuple[tuple[int, ...], ...]
+    #: the solvers' draw bounds, read-only int64: modes per activity, and
+    #: per (activity, mode index - 1) the crash duration and the window
+    #: width (a dummy's one mode gives 1, 0 and 1); slots past an
+    #: activity's last mode hold 0 and 1
+    mode_count: np.ndarray
+    window_low: np.ndarray
+    window_width: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,7 @@ class ProjectInstance:
 
     @cached_property
     def compiled(self) -> CompiledInstance:
-        """The evaluation tables, built on first use (the first evaluation)."""
+        """The evaluation and draw tables, built on first use."""
         index = {r: x for x, (r, _) in enumerate(self.resource_capacity)}
         capacity_left = [c for _, c in self.resource_capacity]
         genes = []
@@ -146,6 +154,17 @@ class ProjectInstance:
             if not self.activities[k].is_dummy:
                 rows = (gene[4] for gene in genes[k])
                 least[k] = tuple(map(add, least[k], map(min, zip(*rows))))
+        mode_count = np.array(list(map(len, self.duration_bounds)),
+                              dtype=np.int64)
+        shape = (self.n, int(mode_count.max()))
+        window_low = np.zeros(shape, dtype=np.int64)
+        window_width = np.ones(shape, dtype=np.int64)
+        for k, windows in enumerate(self.duration_bounds):
+            for x, (lo, hi) in enumerate(windows):
+                window_low[k, x] = lo
+                window_width[k, x] = hi - lo + 1
+        for table in (mode_count, window_low, window_width):
+            table.flags.writeable = False
         return CompiledInstance(
             real=tuple(k for k, is_dummy in enumerate(self.dummy_flags)
                        if not is_dummy),
@@ -154,7 +173,9 @@ class ProjectInstance:
             share=self.compensation_ratio - self.prepay_ratio,
             prepayment=self.prepay_ratio * self.price,
             capacity_left=tuple(capacity_left),
-            least_demand=tuple(least))
+            least_demand=tuple(least),
+            mode_count=mode_count, window_low=window_low,
+            window_width=window_width)
 
     @cached_property
     def order(self) -> tuple[int, ...]:

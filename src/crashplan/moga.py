@@ -7,6 +7,11 @@ mutation, feasibility and duplicate control (`breed`) and one driver
 (`evolve`); each supplies only its next-population step.  MOGA keeps
 rank-picked elites, breeds the two winners of binary tournaments, fills
 up with random chromosomes and hill-climbs a share of the offspring.
+
+Genes are drawn in vectors: a fresh chromosome, a mutation's two genes
+and a duration repair each take one `rng.integers` call per stage (a
+uniform mode, then a uniform duration in its window) over the bound
+tables of `ProjectInstance.compiled`.  Every gene is a Python int.
 """
 
 from __future__ import annotations
@@ -103,28 +108,29 @@ class Evaluator:
 # ---------------------------------------------------------------------------
 # Encoding operators
 
-def _draw_duration(inst: ProjectInstance, k: int, m: int,
-                   rng: np.random.Generator) -> int:
-    """Uniform duration in the window of mode m of activity k + 1."""
-    lo, hi = inst.duration_bounds[k][m - 1]
-    return int(rng.integers(lo, hi + 1))
+def _draw_durations(inst: ProjectInstance, ks, m,
+                    rng: np.random.Generator) -> list[int]:
+    """A uniform duration in the window of mode index m[i] + 1 of each
+    activity index ks[i], by one rng.integers call, as Python ints."""
+    view = inst.compiled
+    return (view.window_low[ks, m]
+            + rng.integers(view.window_width[ks, m])).tolist()
 
 
-def _draw_gene(inst: ProjectInstance, k: int,
-               rng: np.random.Generator) -> tuple[int, int]:
-    """Uniform mode of activity k + 1, then a uniform duration in its window."""
-    m = int(rng.integers(1, len(inst.duration_bounds[k]) + 1))
-    return m, _draw_duration(inst, k, m, rng)
+def _draw_genes(inst: ProjectInstance, ks,
+                rng: np.random.Generator) -> tuple[list[int], list[int]]:
+    """Uniform mode of each activity index in `ks`, by one rng.integers
+    call, then a uniform duration in its window, as (modes, durations)
+    lists of Python ints."""
+    m = rng.integers(inst.compiled.mode_count[ks])
+    return (m + 1).tolist(), _draw_durations(inst, ks, m, rng)
 
 
 def random_chromosome(inst: ProjectInstance,
                       rng: np.random.Generator) -> Chromosome:
     """Uniform mode per activity, uniform duration within the mode's window."""
-    dummy = inst.dummy_flags
-    genes = [(1, 0) if dummy[k] else _draw_gene(inst, k, rng)
-             for k in range(inst.n)]
-    return Chromosome(inst.order, tuple(m for m, _ in genes),
-                      tuple(d for _, d in genes))
+    modes, durations = _draw_genes(inst, np.arange(inst.n), rng)
+    return Chromosome(inst.order, tuple(modes), tuple(durations))
 
 
 def mutate(inst: ProjectInstance, chrom: Chromosome,
@@ -134,11 +140,15 @@ def mutate(inst: ProjectInstance, chrom: Chromosome,
     real = inst.compiled.real
     if len(real) < 2:
         return chrom
+    a = int(rng.integers(len(real)))
+    b = int(rng.integers(len(real) - 1))
+    b += b >= a  # distinct from a, uniform over the others
+    ks = [real[a], real[b]]
+    drawn_modes, drawn_durations = _draw_genes(inst, ks, rng)
     modes = list(chrom.modes)
     durations = list(chrom.durations)
-    for x in rng.choice(len(real), size=2, replace=False):
-        k = real[int(x)]
-        modes[k], durations[k] = _draw_gene(inst, k, rng)
+    for k, m, d in zip(ks, drawn_modes, drawn_durations):
+        modes[k], durations[k] = m, d
     return Chromosome(chrom.order, tuple(modes), tuple(durations))
 
 
@@ -149,8 +159,9 @@ def tournament_select(keys: list, rng: np.random.Generator) -> int:
     n = len(keys)
     if n < 2:
         raise BadParams("tournament needs a population of at least 2")
-    picked = rng.choice(n, size=2, replace=False)
-    a, b = int(picked[0]), int(picked[1])
+    a = int(rng.integers(n))
+    b = int(rng.integers(n - 1))
+    b += b >= a  # the pair as mutate draws it
     if keys[a] < keys[b]:
         return a
     if keys[b] < keys[a]:
@@ -266,10 +277,11 @@ def init_population(inst: ProjectInstance, pop_size: int,
 
 def resample_durations(inst: ProjectInstance, chrom: Chromosome,
                        rng: np.random.Generator) -> Chromosome:
-    dummy = inst.dummy_flags
-    durations = tuple(0 if dummy[k] else _draw_duration(inst, k, m, rng)
-                      for k, m in enumerate(chrom.modes))
-    return Chromosome(chrom.order, chrom.modes, durations)
+    """The same modes, with every duration redrawn uniformly in its mode's
+    window."""
+    durations = _draw_durations(inst, np.arange(inst.n),
+                                np.array(chrom.modes) - 1, rng)
+    return Chromosome(chrom.order, chrom.modes, tuple(durations))
 
 
 REPAIR_ATTEMPTS = 20

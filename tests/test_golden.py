@@ -30,38 +30,38 @@ LONG = 10**6  # iterations for runs that stop on max_evaluations
 
 # (solver, instance, params, run keywords, evaluations, front CSV sha256)
 CASES = [
-    ("moga", "toy4", dict(seed=3, pop_size=10, iterations=20), {}, 877,
+    ("moga", "toy4", dict(seed=3, pop_size=10, iterations=20), {}, 895,
      "0137272f0089d736a7463548f7e5ecb13ae58dc1d6610534189ef024606116af"),
     ("moga", "toy4", dict(seed=3, pop_size=10, iterations=20),
-     {"use_archive": False}, 877,
+     {"use_archive": False}, 895,
      "0137272f0089d736a7463548f7e5ecb13ae58dc1d6610534189ef024606116af"),
-    ("nsga2", "toy4", dict(seed=3, pop_size=10, iterations=20), {}, 377,
+    ("nsga2", "toy4", dict(seed=3, pop_size=10, iterations=20), {}, 349,
      "af71a751faf1f0da5358fd1f3544e4c10cc623c09786229b17b9ee02937c5faf"),
     ("nsga2", "toy4", dict(seed=3, pop_size=10, iterations=20),
-     {"use_archive": True}, 377,
+     {"use_archive": True}, 349,
      "af71a751faf1f0da5358fd1f3544e4c10cc623c09786229b17b9ee02937c5faf"),
-    ("moga", "gen", dict(seed=1, pop_size=12, iterations=15), {}, 1932,
+    ("moga", "gen", dict(seed=1, pop_size=12, iterations=15), {}, 1886,
      "d5b722f50d87165fe267eefd18548c8550312dd499040646611e6e6bed145abd"),
     ("moga", "gen", dict(seed=2, pop_size=12, iterations=LONG),
-     {"max_evaluations": 4000}, 4013,
+     {"max_evaluations": 4000}, 4031,
      "35e201ffa570fdc81774b808e439a3fe964481bf1fcd1e873f5a4ea6816f6267"),
-    ("nsga2", "gen", dict(seed=1, pop_size=12, iterations=15), {}, 401,
-     "c21dcedbbbbc6d6f25c974028e2d03c839e3fa9422312c88e86b4aa083100e03"),
+    ("nsga2", "gen", dict(seed=1, pop_size=12, iterations=15), {}, 390,
+     "4d939b36404ad0d8861074c9a8230023de486ac47584dceba519e02ded8faaa3"),
     ("nsga2", "gen", dict(seed=2, pop_size=12, iterations=LONG),
-     {"max_evaluations": 4000}, 4010,
+     {"max_evaluations": 4000}, 4014,
      "124c67163f90e0334accbe5ec85afe14c830836544c11a4dc047b263af55b780"),
     ("moga", "gen", dict(seed=4, pop_size=10, iterations=12, crossover_rate=0.5,
                          mutation_rate=0.3, hill_climb_rate=0.3,
-                         elitism_rate=0.2), {}, 508,
-     "c700c1b1fd3d64b63bdf2fbf15119500ef77b23416a88f89ecc357c6a5b579ce"),
+                         elitism_rate=0.2), {}, 626,
+     "abfec7969316603e2db6f17c2a5aee55cd75c8715bd5d1a54ebd33b77241818f"),
     ("nsga2", "gen", dict(seed=4, pop_size=10, iterations=12, crossover_rate=0.3,
-                          mutation_rate=0.9), {}, 241,
-     "d0988d5fc34aedc7754bcca754df896105558c0cb8166760f35ed8e999684939"),
+                          mutation_rate=0.9), {}, 331,
+     "9883299a157f201a6a5dd13680f1b3adfcc392d9d9bf0b9376a602dd7d69eb1b"),
     ("nsga2", "tight", dict(seed=50, pop_size=12, iterations=LONG),
-     {"max_evaluations": 3000}, 3004,
-     "c90d5e9e91b02cdd532612159dab4a7ae80f5f9ab64af9b62950134f4ebdb6e5"),
-    ("moga", "tight", dict(seed=50, pop_size=12, iterations=6), {}, 689,
-     "2bd3bb9b359e59a473a1e33b206fcc369df075a8830ac3affb5a7dbb693bb6b4"),
+     {"max_evaluations": 3000}, 3000,
+     "39e1068a3e4f3da414d122564285fcd692f38b9288bf682c34aa0714f5f4d1be"),
+    ("moga", "tight", dict(seed=50, pop_size=12, iterations=6), {}, 678,
+     "fb0afbce4de70dacd03397ad144fc58c18b238dd8be0d36adc9cb104514db86d"),
     ("oracle", "toy4", {}, {}, 15,
      "bba4c68ef773a082e64b6e962d1186e7f2e0f9b7b219065ce799e0c8c8b521fe"),
     ("oracle", "toy4", {}, {"literal_eq15": True}, 15,
@@ -71,10 +71,10 @@ CASES = [
     ("oracle", "tight6", {}, {"literal_eq15": True}, 4096,
      "2baad4c57879df99fab2c8214917135ac08ca98b8615676d05fbaae8b204e2b0"),
     ("moga", "tight6", dict(seed=5, pop_size=10, iterations=10),
-     {"literal_eq15": True}, 2109,
+     {"literal_eq15": True}, 2410,
      "0cfa20739a14c22ced3f618b69228f599eae22bbef83b3befd8232c065acc5ec"),
-    ("moga", "relabelled", dict(seed=7, pop_size=10, iterations=12), {}, 1776,
-     "a7b17ce28f3fba4fbf8a9b81910e144393baacd982c7d5fdaca620febabb9355"),
+    ("moga", "relabelled", dict(seed=7, pop_size=10, iterations=12), {}, 1660,
+     "d1396edfdef0f4ac18f3fa33015d215dcc05cfb7d52994b39ee4484f254098f7"),
     ("oracle", "rev6", {}, {}, 4096,
      "9e83b5cd696e4e7f99cb7a0d737752ea72dcc7d0471dd52180e821e156c3fd52"),
     ("oracle", "cut6", {}, {}, 4096,
@@ -246,7 +246,7 @@ OUTPUT_PINS = {
     "moga.csv":
         "a5d17004295aefb759ed56920ddf05239dea00eff2c547e29a346a348fedc96e",
     "moga.csv.meta.json":
-        "41c7d7d0b115950c23f53c1564d7c3bcf98232041712b80426aa23dbf68e332a",
+        "c748fdb02120bd17495cc9c5a49bd9576b39e4fdb8678686dfa7a2e176176e74",
     "nsga2.csv.meta.json":
         "7f8dac41043e3544b4c444051160d7770df29f8b005b23c7853671173908c8de",
     "oracle.csv.meta.json":
@@ -258,11 +258,11 @@ OUTPUT_PINS = {
     "rows.csv":
         "9bac2a5f3212eda89efc0433c4464563ee7f474b913314c81d7af4dca341fa05",
     "tune/tuning.json":
-        "583a15c32e8591350f826ac3a9cb02160a0c8cac529dfdeff2c10c05732cc516",
+        "007637d090fa7996b25b708a7a9aa1fc366ec0cf821cb9d2837e36b1390480e4",
     "tune/tuning.json.meta.json":
         "217e02e9d29cef99ef7d29fca853bea19a7246a9d868ffa813bc6a3a2e93328c",
     "tune/means.csv":
-        "391f2916860017087ba06b89f4a3880f506a2d65907a6755f32064b756f6ee09",
+        "7e24da67ae8f11b762290fcacd4ac2b2a376758875a5b2f0f905c6a792afb4cf",
     "deadline.csv.meta.json":
         "6dd513107a9c53c934034cab6562f26dc578bcfc71c4e79e993ea9db934ad430",
     "discount.csv":

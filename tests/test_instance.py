@@ -13,7 +13,8 @@ from crashplan.instance import (compute_time_windows, generate_instance,
                                 seed_sequence, topological_order,
                                 validate_instance)
 
-from conftest import TOY4_PATH, dummy, relabel, replace_activity, replace_mode
+from conftest import (TOY4_PATH, dummy, relabel, replace_activity, replace_mode,
+                      reverse_real_ids)
 
 NAN = float("nan")
 INF = float("inf")
@@ -252,6 +253,30 @@ class TestGenerate:
         # back-solved from an NPV that would overflow
         with pytest.raises(BadParams, match="interest_rate"):
             generate_instance(1, 6, 2, 0.4, max_normal=max_normal)
+
+
+class TestDrawTables:
+    """The solvers draw mode index x below mode_count[k] and then offset o
+    below window_width[k, x]; (x, o) -> (x + 1, window_low[k, x] + o) must
+    be one-to-one onto the activity's gene options."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: load_instance(TOY4_PATH),
+        lambda: reverse_real_ids(generate_instance(4, 10, 3, 0.4)),
+    ], ids=["toy4", "relabelled"])
+    def test_draws_map_onto_gene_options(self, make):
+        inst = make()
+        view = inst.compiled
+        for table in (view.mode_count, view.window_low, view.window_width):
+            assert table.dtype == np.int64 and not table.flags.writeable
+        for k in range(inst.n):
+            genes = [(x + 1, int(view.window_low[k, x]) + o)
+                     for x in range(view.mode_count[k])
+                     for o in range(view.window_width[k, x])]
+            assert len(set(genes)) == len(genes)
+            assert set(genes) == set(inst.gene_options[k])
+            if inst.dummy_flags[k]:
+                assert genes == [(1, 0)]
 
 
 class TestIo:

@@ -1,18 +1,21 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crashplan.errors import BadParams, InitTimeout, NoFeasible
-from crashplan.evaluate import Chromosome, decode_schedule, evaluate
+from crashplan.evaluate import (Chromosome, decode_schedule, evaluate,
+                                format_solution, parse_solution)
 from crashplan import moga
 from crashplan.instance import ActivityMode, generate_instance
 from crashplan.moga import (ATTEMPTS_FACTOR, Evaluator, MogaParams,
                             frac_count, hill_climb, init_population, make_rng,
-                            mutate, random_chromosome, replace_gene, run_moga,
-                            tournament_select)
+                            mutate, random_chromosome, replace_gene,
+                            resample_durations, run_moga, tournament_select)
 from crashplan.nsga2 import Nsga2Params, run_nsga2
 from crashplan.oracle import true_pareto_front
+from crashplan.reporting import write_sidecar
 
 from conftest import dummy, make_instance, real, reverse_real_ids
 
@@ -106,17 +109,20 @@ class TestTournament:
             tournament_select([0], np.random.default_rng(0))
 
     def test_distribution_matches_analytic(self):
-        # ranks (0, 0, 1, 2): pair prob 1/6 each, ties split evenly
-        ranks = [0, 0, 1, 2]
-        expected = [2.5 / 6, 2.5 / 6, 1.0 / 6, 0.0]
+        # ranks (0, 0, 1, 2): pair prob 1/6 each, ties split evenly; the
+        # same ranks reversed as well, since a pair draw that can repeat
+        # an index or never draws the last one as its second happens to
+        # keep the first distribution
         rng = np.random.default_rng(5)
         draws = 10_000
-        counts = [0, 0, 0, 0]
-        for _ in range(draws):
-            counts[tournament_select(ranks, rng)] += 1
-        for count, p in zip(counts, expected):
-            sigma = (draws * p * (1 - p)) ** 0.5
-            assert abs(count - draws * p) <= max(4 * sigma, 1)
+        for ranks, expected in (([0, 0, 1, 2], [2.5 / 6, 2.5 / 6, 1.0 / 6, 0.0]),
+                                ([2, 1, 0, 0], [0.0, 1.0 / 6, 2.5 / 6, 2.5 / 6])):
+            counts = [0, 0, 0, 0]
+            for _ in range(draws):
+                counts[tournament_select(ranks, rng)] += 1
+            for count, p in zip(counts, expected):
+                sigma = (draws * p * (1 - p)) ** 0.5
+                assert abs(count - draws * p) <= max(4 * sigma, 1)
 
 
 class TestMutate:
@@ -149,6 +155,50 @@ class TestMutate:
         inst = generate_instance(3, 9, 3, 0.6)
         for _ in range(200):
             decode_schedule(inst, mutate(inst, random_chromosome(inst, rng), rng))
+
+    def test_redraws_two_distinct_activities(self):
+        # every real gene starts out of range, so each one redrawn shows
+        rng = np.random.default_rng(11)
+        inst = generate_instance(4, 10, 3, 0.4)
+        real = [k for k in range(inst.n) if not inst.dummy_flags[k]]
+        marked = Chromosome(inst.order,
+                            tuple(1 if inst.dummy_flags[k] else 0
+                                  for k in range(inst.n)),
+                            (0,) * inst.n)
+        for _ in range(200):
+            m = mutate(inst, marked, rng)
+            assert sum(m.modes[k] != 0 for k in real) == 2
+
+
+class TestGenesAreInts:
+    """Every gene a solver builds is a Python int, never a numpy scalar,
+    so that fronts reach the CSV and JSON writers as they are."""
+
+    def test_operators(self):
+        rng = np.random.default_rng(12)
+        inst = reverse_real_ids(generate_instance(4, 10, 3, 0.4))
+        for _ in range(50):
+            c = random_chromosome(inst, rng)
+            for chrom in (c, mutate(inst, c, rng),
+                          resample_durations(inst, c, rng)):
+                assert all(type(x) is int
+                           for x in chrom.order + chrom.modes + chrom.durations)
+
+    @pytest.mark.parametrize("solver", [
+        lambda inst: run_moga(inst, MogaParams(seed=4, pop_size=10,
+                                               iterations=5)),
+        lambda inst: run_nsga2(inst, Nsga2Params(seed=4, pop_size=10,
+                                                 iterations=5)),
+    ], ids=["moga", "nsga2"])
+    def test_front_reaches_the_writers(self, toy4, tmp_path, solver):
+        chroms = [m.chromosome for m in solver(toy4).front.members]
+        assert chroms
+        for c in chroms:
+            assert parse_solution(format_solution(c)) == c
+        side = write_sidecar(tmp_path / "front.csv", {"genes": [
+            [c.modes, c.durations] for c in chroms]})
+        assert json.loads(side.read_text())["genes"] \
+            == [[list(c.modes), list(c.durations)] for c in chroms]
 
 
 def brute_hill_climb_targets(inst, chrom):

@@ -17,9 +17,12 @@ def vec(npv, time, prod):
 
 def reference_crowded_tournament(ranks, crowding, rng):
     """NSGA-II's crowded binary tournament written out on its own: lower
-    rank wins, then larger crowding distance, else a coin."""
-    picked = rng.choice(len(ranks), size=2, replace=False)
-    a, b = int(picked[0]), int(picked[1])
+    rank wins, then larger crowding distance, else a coin.  The pair is
+    two distinct uniform indices: a below n, then b below n - 1, skipping a."""
+    a = int(rng.integers(len(ranks)))
+    b = int(rng.integers(len(ranks) - 1))
+    if b >= a:
+        b += 1
     if (ranks[a], -crowding[a]) < (ranks[b], -crowding[b]):
         return a
     if (ranks[b], -crowding[b]) < (ranks[a], -crowding[a]):
